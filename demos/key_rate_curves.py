@@ -13,7 +13,7 @@ import csv
 import pathlib
 import sys
 
-from diqkd_bounds import bound_curve, hull_curve
+from diqkd_bounds import bound_curve, convex_hull_bound
 
 OUT = pathlib.Path(__file__).resolve().parent
 
@@ -31,7 +31,7 @@ def main():
     print(f"sampling bound curves on a {grid}-point isotropic-noise grid")
     curves = {name: bound_curve(name, grid=grid) for name in
               ("al", "fbjl", "fractional", "pironio")}
-    hull = hull_curve(grid=grid)
+    hull = convex_hull_bound(curves["al"], curves["fbjl"])
     curves["hull"] = hull.curve
 
     for name, curve in curves.items():

@@ -142,6 +142,10 @@ def _run_curve(args) -> str:
 
 
 def _run_er(args) -> str:
+    if args.restarts < 1:
+        raise SystemExit("error: --restarts must be positive")
+    if args.ensemble_size is not None and args.ensemble_size < 1:
+        raise SystemExit("error: --ensemble-size must be positive")
     rho = fileio.load_state(args.file)
     value = er_numeric(rho, k=args.ensemble_size, restarts=args.restarts,
                        seed=args.seed)

@@ -13,7 +13,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .devices import CcqState
 from .errors import AlphabetTooLargeError, DimensionMismatchError
@@ -24,7 +23,24 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 LN2 = math.log(2.0)
 
 DET_CHANNEL_CAP = 50_000  # enumerate |E|^|E| deterministic maps up to here
+# L-BFGS-B iterations per intrinsic-information restart.  A run whose channel
+# heads for the simplex boundary crawls there (rows = theta**2 flattens the
+# gradient) and would spend any cap, while the others converge in 20-40
+# iterations.  Past 80 the crawl gains at most a few 1e-5 bit, and the cost of
+# a call would follow the joint rather than the size of Eve's alphabet.
+INTRINSIC_REFINE_ITERS = 80
 MAX_EVE_ALPHABET = 16
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    Importing scipy.optimize is most of the package's import time, and the
+    CLI commands that never optimize should not pay for it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def er_isotropic_closed(omega: float) -> float:
@@ -125,9 +141,47 @@ def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
     return merged
 
 
-def _apply_channel_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Post-process Eve's symbol through the stochastic matrix ``rows[e, f]``."""
-    return np.einsum("abe,ef->abf", p, rows)
+class _IntrinsicObjective:
+    """I(A:B|F) after Eve's channel rows = theta**2 / (row sums), with its exact gradient.
+
+    Every theta gives a stochastic matrix, so every evaluated value is a
+    valid upper bound on the intrinsic information; the lowest one is kept.
+    """
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.n_e = p.shape[2]
+        self.best = math.inf
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = theta.reshape(self.n_e, self.n_e)
+        sq = theta * theta
+        s = np.clip(sq.sum(axis=1, keepdims=True), 1e-300, None)
+        rows = sq / s
+        q = np.einsum("abe,ef->abf", self.p, rows)
+        q_af = q.sum(axis=1, keepdims=True)
+        q_bf = q.sum(axis=0, keepdims=True)
+        q_f = q.sum(axis=(0, 1), keepdims=True)
+
+        def plogp(t):
+            log = np.log2(np.clip(t, 1e-300, None))
+            return float((t * log).sum()), log
+
+        # I = H(AF) + H(BF) - H(ABF) - H(F) over every cell: a support cutoff
+        # would drop the tiny cells the optimizer drives toward and report
+        # values below what the channel gives
+        h_abf, l_abf = plogp(q)
+        h_af, l_af = plogp(q_af)
+        h_bf, l_bf = plogp(q_bf)
+        h_f, l_f = plogp(q_f)
+        value = h_abf + h_f - h_af - h_bf
+        # dI/dq(abf) in bits; the -1/ln2 terms of the four entropies cancel
+        g_q = l_abf + l_f - l_af - l_bf
+        if value < self.best:
+            self.best = value
+        g_rows = np.einsum("abe,abf->ef", self.p, g_q)
+        g_sq = (g_rows - (g_rows * rows).sum(axis=1, keepdims=True)) / s
+        return value, (2.0 * theta * g_sq).reshape(-1)
 
 
 def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -163,11 +217,13 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
     The search space is stochastic maps from Eve's symbol alphabet to an
     output alphabet of at most the same size.  Strategy: exhaustive
     enumeration of deterministic maps when |E|^|E| fits under ``det_cap``
-    (otherwise that many seeded random maps, always including the identity),
-    followed by Nelder-Mead refinement on the stochastic-matrix
-    parametrization from the best deterministic points.  The result is a
-    certified upper bound on the true minimum and never exceeds the
-    unprocessed I(A:B|E).
+    (otherwise that many seeded random maps plus the identity and the |E|
+    constant maps, so the value never exceeds I(A:B)), followed by L-BFGS-B
+    with the exact gradient on the stochastic-matrix parametrization from
+    the ``restarts`` best deterministic maps that split Eve's alphabet
+    differently.  Refinement is skipped when a deterministic map already
+    gives exactly 0.  The result is a certified upper bound on the true
+    minimum and never exceeds the unprocessed I(A:B|E).
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
@@ -194,27 +250,35 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
     else:
         maps = rng.integers(0, n_e, size=(det_cap, n_e))
         maps[0] = np.arange(n_e)  # keep the identity in the pool
+        constant = np.repeat(np.arange(n_e)[:, None], n_e, axis=1)
+        maps = np.concatenate([maps, constant])  # these give I(A:B)
     det_values = _det_channel_values(p, maps)
     best = min(best, float(det_values.min()))
-    if not refine:
+    if not refine or best == 0.0:
         return best
 
-    order = np.argsort(det_values)
-    starts = [maps[order[i % len(order)]] for i in range(restarts)]
-
-    def objective(theta: np.ndarray) -> float:
-        sq = theta.reshape(n_e, n_e) ** 2
-        rows = sq / np.clip(sq.sum(axis=1, keepdims=True), 1e-300, None)
-        return _classical_cmi(_apply_channel_rows(p, rows))
-
+    # Relabeling Eve's output symbols leaves the value unchanged, so start
+    # from the best maps that split her alphabet differently.
+    starts, seen = [], set()
+    for i in np.argsort(det_values, kind="stable"):
+        if len(starts) == restarts:
+            break
+        labels: dict[int, int] = {}
+        split = tuple(labels.setdefault(f, len(labels)) for f in maps[i])
+        if split not in seen:
+            seen.add(split)
+            starts.append(maps[i])
+    starts = [starts[i % len(starts)] for i in range(restarts)]
+    objective = _IntrinsicObjective(p)
     for g in starts:
         theta0 = np.zeros((n_e, n_e))
         theta0[np.arange(n_e), g] = 1.0
         theta0 = theta0 + 0.15 * rng.standard_normal((n_e, n_e))
-        res = minimize(objective, theta0.reshape(-1), method="Nelder-Mead",
-                       options={"maxfev": 4000, "xatol": 1e-10, "fatol": 1e-12})
-        best = min(best, float(res.fun))
-    return max(best, 0.0)
+        minimize(objective.value_and_grad, theta0.reshape(-1), jac=True,
+                 method="L-BFGS-B",
+                 options={"maxiter": INTRINSIC_REFINE_ITERS, "ftol": 1e-14,
+                          "gtol": 1e-10})
+    return max(min(best, objective.best), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +407,8 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
         raise DimensionMismatchError(f"total dimension {rho.dim} exceeds 12")
     if k is None:
         k = 16 if rho.dim == 4 else 24
+    if k < 1 or restarts < 1:
+        raise ValueError(f"ensemble size {k} and restarts {restarts} must be positive")
     obj = _ErObjective(rho, k)
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))

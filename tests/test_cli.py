@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from diqkd_bounds import make_isotropic, save_state
 from diqkd_bounds.cli import main
 from diqkd_bounds.fileio import behavior_from_dict, save_behavior
@@ -126,6 +128,19 @@ def test_output_file(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "curve", "nonsense")[0] == 2
     assert run_cli(capsys, "er")[0] == 2  # missing --file
+
+
+@pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--restarts", "-1"),
+                                        ("--ensemble-size", "0"),
+                                        ("--ensemble-size", "-3")])
+def test_er_empty_search_is_usage_error(tmp_path, capsys, flag, value):
+    path = tmp_path / "state.json"
+    save_state(make_isotropic(0.1), path)
+    code, out, err = run_cli(capsys, "er", "--file", str(path), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):

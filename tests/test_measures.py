@@ -1,18 +1,25 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diqkd_bounds
 from diqkd_bounds import (
     AlphabetTooLargeError,
     CcqState,
     DensityMatrix,
     assemble_ccq,
+    bound_curve,
     cmi_ccq,
     er_bell_diagonal_closed,
     er_isotropic_closed,
     er_numeric,
+    hull_curve,
     intrinsic_info,
     kron,
     make_bell_diagonal,
@@ -23,7 +30,8 @@ from diqkd_bounds import (
     partial_trace,
     von_neumann_entropy,
 )
-from diqkd_bounds.measures import TWO_SQRT2, _ErObjective
+from diqkd_bounds import measures
+from diqkd_bounds.measures import TWO_SQRT2, _ErObjective, _IntrinsicObjective
 from diqkd_bounds.states import PAULI_Z
 from util import random_density
 
@@ -291,3 +299,88 @@ def test_intrinsic_reproducible():
     rng = np.random.default_rng(67)
     p = rng.dirichlet(np.ones(2 * 2 * 4)).reshape(2, 2, 4)
     assert intrinsic_info(p, seed=3) == intrinsic_info(p, seed=3)
+
+
+def test_intrinsic_gradient_matches_central_differences():
+    for n_e in range(2, 7):
+        rng = np.random.default_rng(100 + n_e)
+        p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
+        obj = _IntrinsicObjective(p)
+        theta = rng.standard_normal(n_e * n_e)
+        _, grad = obj.value_and_grad(theta)
+        eps = 1e-6
+        num = np.empty_like(grad)
+        for i in range(len(theta)):
+            tp, tm = theta.copy(), theta.copy()
+            tp[i] += eps
+            tm[i] -= eps
+            num[i] = (obj.value_and_grad(tp)[0] - obj.value_and_grad(tm)[0]) / (2 * eps)
+        assert np.linalg.norm(num - grad) < 1e-5 * np.linalg.norm(grad), n_e
+
+
+def test_intrinsic_objective_is_cmi_after_the_channel():
+    rng = np.random.default_rng(71)
+    p = rng.dirichlet(np.ones(16)).reshape(2, 2, 4)
+    theta = rng.standard_normal(16)
+    rows = theta.reshape(4, 4) ** 2
+    rows /= rows.sum(axis=1, keepdims=True)
+    q = np.einsum("abe,ef->abf", p, rows)
+    ent = lambda t: -sum(v * math.log2(v) for v in t.reshape(-1) if v > 0)
+    cmi = ent(q.sum(axis=1)) + ent(q.sum(axis=0)) - ent(q) - ent(q.sum(axis=(0, 1)))
+    assert abs(_IntrinsicObjective(p).value_and_grad(theta)[0] - cmi) < 1e-12
+
+
+def test_intrinsic_refinement_never_weaker_than_deterministic_search():
+    rng = np.random.default_rng(73)
+    for i in range(20):
+        n_e = 2 + i % 5
+        p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
+        assert intrinsic_info(p, seed=i) <= intrinsic_info(p, seed=i, refine=False)
+
+
+def test_intrinsic_sampled_pool_keeps_mutual_info_ceiling():
+    # 16^16 maps exceed the enumeration cap, so the pool is sampled
+    p = np.random.default_rng(0).dirichlet(np.ones(64)).reshape(2, 2, 16)
+    ceiling = mutual_info(p.sum(axis=2))
+    assert intrinsic_info(p, seed=0, refine=False) <= ceiling + 1e-12
+
+
+def test_intrinsic_exact_zero_skips_refinement(monkeypatch):
+    # e = 0 carries perfectly correlated bits and e = 1 anti-correlated ones:
+    # I(A:B|E) is one bit, and forgetting E leaves independent uniform bits
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = p[1, 1, 0] = p[0, 1, 1] = p[1, 0, 1] = 0.25
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("refinement ran after an exact zero")
+
+    monkeypatch.setattr(measures, "minimize", no_optimizer)
+    assert intrinsic_info(p, seed=0) == 0.0
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(diqkd_bounds.__file__).resolve().parents[1])
+    code = "import sys, diqkd_bounds.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_er_numeric_rejects_empty_search():
+    rho = make_isotropic(0.2)
+    with pytest.raises(ValueError):
+        er_numeric(rho, restarts=0)
+    with pytest.raises(ValueError):
+        er_numeric(rho, k=0)
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("name", ["fbjl", "hull"])
+def test_committed_demo_curves_reproduce(name):
+    curve = hull_curve(grid=17).curve if name == "hull" else bound_curve(name, grid=17)
+    rows = (DEMOS / f"curve_{name}.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(curve.samples)
+    for row, s in zip(rows, curve.samples):
+        assert row.split(",") == [f"{v:.12g}" for v in (s.param, s.omega, s.qber, s.value)]
