@@ -339,11 +339,9 @@ def _erasure_extended(povm: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _anti_z_povm(dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _anti_z_povm() -> tuple[np.ndarray, np.ndarray]:
     """Z measurement with relabeled outcomes (used to pin QBER at 1)."""
     plus, minus = observable_povm(PAULI_Z)
-    if dim == 3:
-        plus, minus = _erasure_extended((plus, minus))
     return minus, plus
 
 
@@ -394,7 +392,7 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
                       observable_povm(a1), observable_povm(a2))
     else:
         qber_target = 1.0  # convention: erased rounds are declared errors
-        alice_deph = (_anti_z_povm(2), observable_povm(a1), observable_povm(a2))
+        alice_deph = (_anti_z_povm(), observable_povm(a1), observable_povm(a2))
     bob_deph = tuple(observable_povm(o) for o in (PAULI_Z, PAULI_X))
     deph_behavior = behavior_from(deph_state, MeasurementFamily(alice_deph, bob_deph))
     omega_deph = chsh_value(deph_behavior)

@@ -37,10 +37,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """Frobenius norm of the anti-Hermitian part."""
     a = np.asarray(a)

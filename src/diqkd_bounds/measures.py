@@ -22,7 +22,9 @@ from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 LN2 = math.log(2.0)
 
-DET_CHANNEL_CAP = 50_000  # enumerate |E|^|E| deterministic maps up to here
+# Largest pool of deterministic Eve maps searched exhaustively, counted in set
+# partitions of her alphabet: Bell(9) = 21,147 fits, Bell(10) = 115,975 does not.
+DET_CHANNEL_CAP = 50_000
 # L-BFGS-B iterations per intrinsic-information restart.  A run whose channel
 # heads for the simplex boundary crawls there (rows = theta**2 flattens the
 # gradient) and would spend any cap, while the others converge in 20-40
@@ -73,10 +75,8 @@ def mutual_info(p: np.ndarray) -> float:
     if abs(t.sum() - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {t.sum():.9f}, not 1")
     t = np.clip(t, 0.0, None)
-    h_a = entropy_of_eigenvalues(t.sum(axis=1))
-    h_b = entropy_of_eigenvalues(t.sum(axis=0))
-    h_ab = entropy_of_eigenvalues(t.reshape(-1))
-    return max(h_a + h_b - h_ab, 0.0)
+    h = lambda x: -float(_plogp(x).sum())
+    return max(h(t.sum(axis=1)) + h(t.sum(axis=0)) - h(t), 0.0)
 
 
 def cmi_ccq(c: CcqState) -> float:
@@ -105,13 +105,12 @@ def cmi_ccq(c: CcqState) -> float:
     return max(value, 0.0)
 
 
-def _classical_cmi(p_abe: np.ndarray) -> float:
-    """I(A:B|E) for a fully classical joint p[a][b][e]."""
-    h_abe = entropy_of_eigenvalues(p_abe.reshape(-1))
-    h_ae = entropy_of_eigenvalues(p_abe.sum(axis=1).reshape(-1))
-    h_be = entropy_of_eigenvalues(p_abe.sum(axis=0).reshape(-1))
-    h_e = entropy_of_eigenvalues(p_abe.sum(axis=(0, 1)))
-    return max(h_ae + h_be - h_abe - h_e, 0.0)
+def _plogp(t: np.ndarray) -> np.ndarray:
+    """t * log2(t) elementwise, taking 0 * log 0 = 0 at exact zero only.
+
+    There is no support cutoff: a cell of 1e-13 still carries 4e-12 bit.
+    """
+    return t * np.log2(np.where(t > 0.0, t, 1.0))
 
 
 def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
@@ -184,29 +183,54 @@ class _IntrinsicObjective:
         return value, (2.0 * theta * g_sq).reshape(-1)
 
 
+def _bell(n: int) -> int:
+    """Number of set partitions of n symbols (last entry of row n of Bell's triangle)."""
+    row = [1]
+    for _ in range(n - 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[-1]
+
+
+def _partitions(n: int) -> np.ndarray:
+    """Every set partition of n symbols, one row each, as a restricted growth string.
+
+    Row entry e is the block of symbol e, blocks numbered in the order they
+    first appear, so each partition is written exactly once (Bell(n) rows,
+    in lexicographic order).
+    """
+    rows = np.zeros((1, 1), dtype=int)
+    for _ in range(n - 1):
+        counts = rows.max(axis=1) + 2  # an existing block or a new one
+        parent = np.repeat(np.arange(len(rows)), counts)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], label])
+    return rows
+
+
 def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """CMI after each deterministic map in ``maps`` (one row per map)."""
-    n_e = p.shape[2]
-    n_maps = maps.shape[0]
-    values = np.empty(n_maps)
+    """I(A:B|F), clipped at 0, after each deterministic map in ``maps`` (one row per map).
+
+    Each block of maps becomes one-hot channels, q = p @ one_hot is one
+    batched matmul, and every entropy is summed over all cells with `_plogp`.
+    """
+    n_a, n_b, n_e = p.shape
+    p_flat = p.reshape(-1, n_e)
+    outputs = np.arange(n_e)
+    values = np.empty(len(maps))
+
+    def ent(t):  # entropy of each joint in a block
+        return -_plogp(t).reshape(len(t), -1).sum(axis=1)
+
     chunk = max(1, 2_000_000 // (p.size * n_e + 1))
-    for start in range(0, n_maps, chunk):
+    for start in range(0, len(maps), chunk):
         block = maps[start:start + chunk]
-        one_hot = np.zeros((block.shape[0], n_e, n_e))
-        rows = np.arange(block.shape[0])[:, None]
-        one_hot[rows, np.arange(n_e)[None, :], block] = 1.0
-        q = np.einsum("abe,mef->mabf", p, one_hot)
-
-        def ent(t):
-            flat = t.reshape(t.shape[0], -1)
-            safe = np.where(flat > 1e-15, flat, 1.0)
-            return -(flat * np.log2(safe)).sum(axis=1)
-
+        one_hot = (block[:, :, None] == outputs).astype(float)
+        q = np.matmul(p_flat, one_hot).reshape(len(block), n_a, n_b, n_e)
         h_abe = ent(q)
         h_ae = ent(q.sum(axis=2))
         h_be = ent(q.sum(axis=1))
         h_e = ent(q.sum(axis=(1, 2)))
-        values[start:start + block.shape[0]] = h_ae + h_be - h_abe - h_e
+        values[start:start + len(block)] = h_ae + h_be - h_abe - h_e
     return np.clip(values, 0.0, None)
 
 
@@ -215,15 +239,17 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
     """Best-found intrinsic information min over Eve channels of I(A:B|E').
 
     The search space is stochastic maps from Eve's symbol alphabet to an
-    output alphabet of at most the same size.  Strategy: exhaustive
-    enumeration of deterministic maps when |E|^|E| fits under ``det_cap``
-    (otherwise that many seeded random maps plus the identity and the |E|
-    constant maps, so the value never exceeds I(A:B)), followed by L-BFGS-B
-    with the exact gradient on the stochastic-matrix parametrization from
-    the ``restarts`` best deterministic maps that split Eve's alphabet
-    differently.  Refinement is skipped when a deterministic map already
-    gives exactly 0.  The result is a certified upper bound on the true
-    minimum and never exceeds the unprocessed I(A:B|E).
+    output alphabet of at most the same size.  Strategy: a deterministic
+    map's value depends only on the partition of Eve's alphabet it induces,
+    so every one of the Bell(|E|) partitions is tried when they fit under
+    ``det_cap`` (through |E| = 9 at the default); otherwise ``det_cap``
+    seeded random maps plus the identity and the |E| constant maps, so the
+    value never exceeds I(A:B).  Then L-BFGS-B with the exact gradient on
+    the stochastic-matrix parametrization, from the ``restarts`` best
+    deterministic maps that split Eve's alphabet differently.  Refinement
+    is skipped when a deterministic map already gives exactly 0.  The
+    result is a certified upper bound on the true minimum and never exceeds
+    the unprocessed I(A:B|E).
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
@@ -240,13 +266,14 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
     n_e = p.shape[2]
     if n_e > MAX_EVE_ALPHABET:
         raise AlphabetTooLargeError(f"{n_e} Eve symbols exceed the cap {MAX_EVE_ALPHABET}")
-    best = _classical_cmi(p)
+    # the identity map gives the unprocessed I(A:B|E)
+    best = float(_det_channel_values(p, np.arange(n_e)[None])[0])
     if n_e == 1 or best == 0.0:
         return best
 
     rng = np.random.default_rng(seed)
-    if n_e**n_e <= det_cap:
-        maps = np.array(list(itertools.product(range(n_e), repeat=n_e)), dtype=int)
+    if _bell(n_e) <= det_cap:
+        maps = _partitions(n_e)
     else:
         maps = rng.integers(0, n_e, size=(det_cap, n_e))
         maps[0] = np.arange(n_e)  # keep the identity in the pool

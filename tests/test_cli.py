@@ -156,3 +156,13 @@ def test_channel_requires_kind(capsys):
 
 def test_device_out_of_range_is_numerical_error(capsys):
     assert run_cli(capsys, "device", "--nu", "1.5")[0] == 1
+
+
+@pytest.mark.parametrize("args", [("--grid", "1"), ("--grid", "0"), ("--min", "nan"),
+                                  ("--min", "0.5", "--max", "0.1")])
+def test_curve_argument_outside_domain_is_numerical_error(capsys, args):
+    code, out, err = run_cli(capsys, "curve", "al", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

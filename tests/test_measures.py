@@ -217,6 +217,28 @@ def test_cmi_fixed_strategy_mixture_is_exactly_affine():
 
 # --- classical mutual information -------------------------------------------
 
+def loop_cmi(q: np.ndarray) -> float:
+    """I(A:B|F) of q[a][b][f] by explicit loops over every nonzero cell."""
+    n_a, n_b, n_f = q.shape
+
+    def h(cells):
+        return -sum(v * math.log2(v) for v in cells if v > 0)
+
+    h_abf = h(q[a, b, f] for a in range(n_a) for b in range(n_b) for f in range(n_f))
+    h_af = h(sum(q[a, b, f] for b in range(n_b)) for a in range(n_a) for f in range(n_f))
+    h_bf = h(sum(q[a, b, f] for a in range(n_a)) for b in range(n_b) for f in range(n_f))
+    h_f = h(sum(q[a, b, f] for a in range(n_a) for b in range(n_b)) for f in range(n_f))
+    return h_af + h_bf - h_abf - h_f
+
+
+def test_entropies_keep_cells_below_the_support_cutoff():
+    # cells of 1e-13 carry ~4e-12 bit each, far above rounding
+    t = np.array([[0.5 - 2e-13, 1e-13], [1e-13, 0.5]])
+    p = t[:, :, None]
+    assert abs(intrinsic_info(p) - loop_cmi(p)) < 1e-15
+    assert abs(mutual_info(t) - loop_cmi(p)) < 1e-15
+
+
 def test_mutual_info_values():
     assert abs(mutual_info(np.array([[0.5, 0.0], [0.0, 0.5]])) - 1.0) < 1e-12
     assert mutual_info(np.outer([0.3, 0.7], [0.6, 0.4])) < 1e-12
@@ -228,22 +250,19 @@ def test_mutual_info_values():
 
 # --- intrinsic information ---------------------------------------------------
 
+def apply_map(p_abe: np.ndarray, g) -> np.ndarray:
+    """q(a,b,f) after the deterministic Eve map e -> g[e], by a loop."""
+    q = np.zeros_like(p_abe)
+    for e, f in enumerate(g):
+        q[:, :, f] += p_abe[:, :, e]
+    return q
+
+
 def intrinsic_oracle_det(p_abe: np.ndarray) -> float:
     """Brute force over every deterministic channel (any output size)."""
     n_e = p_abe.shape[2]
-
-    def cmi(q):
-        flat = lambda t: t.reshape(-1)
-        ent = lambda t: -sum(v * math.log2(v) for v in flat(t) if v > 1e-15)
-        return (ent(q.sum(axis=1)) + ent(q.sum(axis=0))
-                - ent(q) - ent(q.sum(axis=(0, 1))))
-
-    best = math.inf
-    for g in itertools.product(range(n_e), repeat=n_e):
-        q = np.zeros_like(p_abe)
-        for e in range(n_e):
-            q[:, :, g[e]] += p_abe[:, :, e]
-        best = min(best, cmi(q))
+    best = min(loop_cmi(apply_map(p_abe, g))
+               for g in itertools.product(range(n_e), repeat=n_e))
     return max(best, 0.0)
 
 
@@ -301,6 +320,39 @@ def test_intrinsic_reproducible():
     assert intrinsic_info(p, seed=3) == intrinsic_info(p, seed=3)
 
 
+def test_partitions_are_restricted_growth_strings():
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+    for n in range(1, 10):
+        rows = measures._partitions(n)
+        assert rows.shape == (bell[n], n) and measures._bell(n) == bell[n]
+        assert len({tuple(r) for r in rows}) == bell[n]
+        # labels in order of first appearance: each entry opens at most one new block
+        assert np.all(rows[:, 0] == 0)
+        assert np.all(rows[:, 1:] <= np.maximum.accumulate(rows, axis=1)[:, :-1] + 1)
+
+
+def test_intrinsic_partition_search_matches_every_map():
+    rng = np.random.default_rng(79)
+    for n_e in range(2, 6):
+        p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
+        assert abs(intrinsic_info(p, refine=False) - intrinsic_oracle_det(p)) < 1e-15, n_e
+
+
+def test_intrinsic_partitions_never_weaker_than_sampled_maps():
+    p = np.random.default_rng(89).dirichlet(np.ones(28)).reshape(2, 2, 7)
+    # Bell(7) = 877 partitions: exhaustive by default, sampled under a cap of 500
+    assert (intrinsic_info(p, refine=False)
+            <= intrinsic_info(p, refine=False, det_cap=500))
+
+
+def test_det_channel_values_match_loop_cmi():
+    rng = np.random.default_rng(97)
+    p = rng.dirichlet(np.ones(64)).reshape(2, 2, 16)
+    maps = rng.integers(0, 16, size=(12, 16))
+    for g, value in zip(maps, measures._det_channel_values(p, maps)):
+        assert abs(value - max(loop_cmi(apply_map(p, g)), 0.0)) < 1e-14
+
+
 def test_intrinsic_gradient_matches_central_differences():
     for n_e in range(2, 7):
         rng = np.random.default_rng(100 + n_e)
@@ -325,9 +377,7 @@ def test_intrinsic_objective_is_cmi_after_the_channel():
     rows = theta.reshape(4, 4) ** 2
     rows /= rows.sum(axis=1, keepdims=True)
     q = np.einsum("abe,ef->abf", p, rows)
-    ent = lambda t: -sum(v * math.log2(v) for v in t.reshape(-1) if v > 0)
-    cmi = ent(q.sum(axis=1)) + ent(q.sum(axis=0)) - ent(q) - ent(q.sum(axis=(0, 1)))
-    assert abs(_IntrinsicObjective(p).value_and_grad(theta)[0] - cmi) < 1e-12
+    assert abs(_IntrinsicObjective(p).value_and_grad(theta)[0] - loop_cmi(q)) < 1e-12
 
 
 def test_intrinsic_refinement_never_weaker_than_deterministic_search():
