@@ -10,6 +10,7 @@ can be re-plotted against any axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -17,6 +18,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .devices import (
+    Behavior,
     EveMap,
     MeasurementFamily,
     assemble_ccq,
@@ -117,25 +119,23 @@ def al_bound(nu: float) -> float:
     return cmi_ccq(assemble_ccq(sigma, (alice, bob)))
 
 
-def fbjl_bound(nu: float, keep_index_register: bool = False, seed: int = 0,
-               restarts: int = 4) -> float:
-    """Convex-combination attack bound with a quantum nonlocal part.
+@functools.cache
+def _tsirelson_behavior() -> Behavior:
+    """Behavior of the noiseless honest device: fbjl's quantum residual."""
+    return behavior_from(*honest_chsh_device(0.0))
 
-    The honest device's behavior at noise nu is split by linear programming
-    into a maximal-weight mixture of deterministic vertices plus the
-    noiseless honest device (the Tsirelson-point behavior of the same
-    measurements), so every round Eve hands out is realizable by a quantum
-    device.  The optimal local weight is q_L = nu / nu* up to the frontier
-    nu* = 1 - 1/sqrt(2) and 1 beyond it.  Eve's symbol is the vertex's
-    key-setting outcome pair on local rounds (optionally tagged with the
-    vertex index) and "?" on quantum rounds; the returned value is the
-    intrinsic information of the resulting key-setting distribution
-    p(a, b, e).  At nu = 0 every round is quantum and the value is one bit.
+
+def _fbjl_joint(nu: float) -> np.ndarray:
+    """Key-setting distribution p(a, b, e) of the convex-combination attack.
+
+    Eve's symbols are the key-setting outcome pairs of the deterministic
+    vertices, in order of first appearance, each a point mass on its own
+    cell, and last "?" for the quantum rounds, which carries the noiseless
+    device's key slice (diagonal; an all-zero column when no round is
+    quantum).
     """
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"nu={nu} outside [0, 1]")
     behavior = behavior_from(*honest_chsh_device(nu))
-    dec = max_local_weight_with_residual(behavior, behavior_from(*honest_chsh_device(0.0)))
+    dec = max_local_weight_with_residual(behavior, _tsirelson_behavior())
     symbols: dict[object, int] = {}
 
     def index(sym) -> int:
@@ -144,28 +144,64 @@ def fbjl_bound(nu: float, keep_index_register: bool = False, seed: int = 0,
         return symbols[sym]
 
     entries: list[tuple[int, int, int, float]] = []
-    for i, (w, v) in enumerate(zip(dec.vertex_weights, dec.vertices)):
+    for w, v in zip(dec.vertex_weights, dec.vertices):
         if w <= 1e-12:
             continue
         a, b = v.a_map[0], v.b_map[0]
-        sym = (a, b, i) if keep_index_register else (a, b)
-        entries.append((a, b, index(sym), float(w)))
+        entries.append((a, b, index((a, b)), float(w)))
     q_nl = 1.0 - dec.local_weight
+    e_q = index("?")
     if dec.residual_used and q_nl > 1e-12:
         slab = dec.residual.slice_xy(0, 0)
-        e_q = index("?")
         for a in range(slab.shape[0]):
             for b in range(slab.shape[1]):
                 if slab[a, b] > 0.0:
                     entries.append((a, b, e_q, float(q_nl * slab[a, b])))
-    if not entries:
-        return 0.0
     n_a, n_b = behavior.shape[2], behavior.shape[3]
     p_abe = np.zeros((n_a, n_b, len(symbols)))
     for a, b, e, w in entries:
         p_abe[a, b, e] += w
-    p_abe /= p_abe.sum()
-    return intrinsic_info(p_abe, seed=seed, restarts=restarts)
+    return p_abe / p_abe.sum()
+
+
+def fbjl_bound(nu: float) -> float:
+    """Convex-combination attack bound with a quantum nonlocal part.
+
+    The honest device's behavior at noise nu is split by linear programming
+    into a maximal-weight mixture of deterministic vertices plus the
+    noiseless honest device (the Tsirelson-point behavior of the same
+    measurements), so every round Eve hands out is realizable by a quantum
+    device.  The optimal local weight is q_L = nu / nu* up to the frontier
+    nu* = 1 - 1/sqrt(2) and 1 beyond it.  Eve's symbol is the vertex's
+    key-setting outcome pair on local rounds and "?" on quantum rounds.  At
+    nu = 0 every round is quantum and the value is one bit.
+
+    The value is the intrinsic information of the key-setting distribution
+    p(a, b, e), evaluated without refinement:
+
+    - "?" has mass c on (0,0) and on (1,1); the anti-correlated local symbols
+      have mass beta on (0,1) and on (1,0).  Once c <= beta, that is
+      nu >= nu0 = 2 nu* / (2 + nu*) ~ 0.25548 (omega ~ 2.1058, QBER ~ 12.77%),
+      Eve's channel that sends "?" and a fraction c / beta of each
+      anti-correlated symbol to one output, and keeps every other symbol as
+      its own output, leaves a rank-one slice in every output, so the value
+      is exactly 0.
+    - Below nu0 it is the best deterministic map, i.e. the best set
+      partition of Eve's alphabet.  Gradient refinement over stochastic
+      channels never went below it on this joint (a 399-point grid, and
+      hundreds of random starts at single points), so it is not run.
+    """
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError(f"nu={nu} outside [0, 1]")
+    p_abe = _fbjl_joint(nu)
+    # c and beta are read from the joint's masses ("?" is the last symbol,
+    # every other one a point mass); should the two diagonal cells of "?"
+    # differ, moving their geometric mean (at most c) still gives rank one
+    c = max(p_abe[0, 0, -1], p_abe[1, 1, -1])
+    beta = min(p_abe[0, 1, :-1].sum(), p_abe[1, 0, :-1].sum())
+    if c <= beta:
+        return 0.0
+    return intrinsic_info(p_abe, refine=False)
 
 
 def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
@@ -463,7 +499,7 @@ def _sample_meta_nu(nu: float) -> tuple[float, float]:
 
 
 def bound_curve(name: str, grid: int = 64, lo: float | None = None,
-                hi: float | None = None, axis: str = "nu", seed: int = 0) -> BoundCurve:
+                hi: float | None = None, axis: str = "nu") -> BoundCurve:
     """Sample one named bound on a parameter grid.
 
     ``axis`` is "nu" (isotropic noise, default range [0, 1 - 1/sqrt(2)]) or
@@ -497,7 +533,7 @@ def bound_curve(name: str, grid: int = 64, lo: float | None = None,
         if name == "al":
             value = al_bound(float(nu))
         elif name == "fbjl":
-            value = fbjl_bound(float(nu), seed=seed)
+            value = fbjl_bound(float(nu))
         elif name == "fractional":
             value = fractional_er_bound(max(min(omega, TWO_SQRT2), 2.0)) if omega >= 2.0 else 0.0
         else:
@@ -508,10 +544,10 @@ def bound_curve(name: str, grid: int = 64, lo: float | None = None,
 
 
 def hull_curve(grid: int = 64, lo: float | None = None, hi: float | None = None,
-               axis: str = "nu", seed: int = 0) -> HullResult:
+               axis: str = "nu") -> HullResult:
     """Convex hull of the explicit-attack bounds on a shared grid."""
-    al = bound_curve("al", grid, lo, hi, axis, seed)
-    fb = bound_curve("fbjl", grid, lo, hi, axis, seed)
+    al = bound_curve("al", grid, lo, hi, axis)
+    fb = bound_curve("fbjl", grid, lo, hi, axis)
     return convex_hull_bound(al, fb)
 
 

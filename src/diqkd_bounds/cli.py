@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 on usage errors, 1 on numerical failure.  All
 numeric output uses 12 significant digits, `.` as the decimal separator, and
-newline-terminated lines, so identical invocations (including --seed) produce
-byte-identical output on one platform.
+newline-terminated lines, so identical invocations produce byte-identical
+output on one platform.  ``--seed`` reaches ``er`` only; ``curve`` accepts it
+and ignores it.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--p-min", type=float, default=0.0)
     curve.add_argument("--p-max", type=float, default=1.0)
     curve.add_argument("--format", choices=["csv", "json"], default="csv")
-    curve.add_argument("--seed", type=int, default=0)
+    curve.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility; reaches no curve")
     curve.add_argument("--output", default=None, help="write here instead of stdout")
 
     er = sub.add_parser("er", help="numerical relative entropy of entanglement")
@@ -134,10 +136,10 @@ def _run_curve(args) -> str:
                               p_max=args.p_max)
     elif args.name == "hull":
         curve = hull_curve(grid=args.grid, lo=args.lo, hi=args.hi,
-                           axis=args.axis, seed=args.seed).curve
+                           axis=args.axis).curve
     else:
         curve = bound_curve(args.name, grid=args.grid, lo=args.lo, hi=args.hi,
-                            axis=args.axis, seed=args.seed)
+                            axis=args.axis)
     return _curve_csv(curve) if args.format == "csv" else _curve_json(curve)
 
 

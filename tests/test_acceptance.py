@@ -95,7 +95,7 @@ def _attack_curves():
     if not _curves_cache:
         t0 = time.monotonic()
         _curves_cache["al"] = bound_curve("al", grid=64)
-        _curves_cache["fbjl"] = bound_curve("fbjl", grid=64, seed=0)
+        _curves_cache["fbjl"] = bound_curve("fbjl", grid=64)
         _curves_cache["elapsed"] = time.monotonic() - t0
     return _curves_cache
 

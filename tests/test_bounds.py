@@ -29,8 +29,10 @@ from diqkd_bounds import (
     observable_povm,
     pironio_er_bound,
 )
-from diqkd_bounds.measures import TWO_SQRT2
+from diqkd_bounds import bounds
+from diqkd_bounds.measures import TWO_SQRT2, intrinsic_info
 from diqkd_bounds.states import PAULI_Z, projector
+from util import loop_cmi
 
 H = lambda x: 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
@@ -46,11 +48,15 @@ def test_al_bound_zero_at_frontier():
     assert al_bound(0.5) == 0.0
 
 
+def pironio_rate_at(omega, q):
+    """Achievable DI key rate at CHSH value omega and QBER q (Pironio et al. 2009)."""
+    c = min(math.sqrt(max((omega / 2) ** 2 - 1, 0.0)), 1.0)
+    return max(0.0, 1 - H(q) - H((1 + c) / 2))
+
+
 def pironio_rate(nu):
-    """Achievable DI key rate of the honest device (Pironio et al. 2009)."""
-    s = TWO_SQRT2 * (1 - nu)
-    c = math.sqrt(max((s / 2) ** 2 - 1, 0.0))
-    return max(0.0, 1 - H(nu / 2) - H((1 + c) / 2))
+    """Achievable DI key rate of the honest device at isotropic noise nu."""
+    return pironio_rate_at(TWO_SQRT2 * (1 - nu), nu / 2)
 
 
 def test_al_bound_small_noise_between_fbjl_and_cap():
@@ -77,11 +83,61 @@ def test_fbjl_capped_by_one_bit_at_zero_noise():
     assert abs(value - 1.0) < 1e-9
 
 
-def test_fbjl_index_register_never_helps_eve_less():
-    for nu in np.linspace(0.0, NU_STAR, 20):
-        plain = fbjl_bound(float(nu), restarts=2)
-        tagged = fbjl_bound(float(nu), keep_index_register=True, restarts=2)
-        assert tagged <= plain + 1e-9
+NU0 = 2 * NU_STAR / (2 + NU_STAR)  # where fbjl's "?" mass c meets beta
+
+
+def zero_key_channel(p):
+    """Eve's zero-key channel on an fbjl joint, read from its masses alone.
+
+    "?" is the one symbol spread over more than one cell, with mass c on
+    (0,0) and (1,1).  It and a fraction c / beta of each anti-correlated
+    point-mass symbol (total mass beta on (0,1), and on (1,0)) go to the
+    output of "?"; every other symbol keeps its own output.  Returns the
+    channel W[e][f], or None when c > beta and the channel does not exist.
+    """
+    n_e = p.shape[2]
+    w = np.eye(n_e)
+    spread = [e for e in range(n_e) if np.count_nonzero(p[:, :, e]) > 1]
+    if not spread:
+        return w
+    (e_q,) = spread
+    c = max(p[0, 0, e_q], p[1, 1, e_q])
+    beta = {cell: sum(p[cell + (e,)] for e in range(n_e) if e != e_q)
+            for cell in ((0, 1), (1, 0))}
+    if c > min(beta.values()):
+        return None
+    for e in range(n_e):
+        for cell, mass in beta.items():
+            if e != e_q and p[cell + (e,)] > 0.0:
+                w[e, e] = 1.0 - c / mass
+                w[e, e_q] = c / mass
+    return w
+
+
+@pytest.mark.parametrize("nu", [0.2555, 0.26, 0.28, NU_STAR])
+def test_fbjl_zero_key_channel_above_nu0(nu):
+    p = bounds._fbjl_joint(nu)
+    w = zero_key_channel(p)
+    assert w is not None and w.min() >= 0.0
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-15)
+    q = np.einsum("abe,ef->abf", p, w)
+    assert abs(loop_cmi(q)) <= 1e-15
+    assert fbjl_bound(nu) == 0.0
+
+
+def test_fbjl_positive_below_nu0():
+    assert zero_key_channel(bounds._fbjl_joint(0.255)) is None
+    assert fbjl_bound(0.255) > 0.0
+
+
+def test_fbjl_refinement_gains_nothing_below_nu0():
+    # fbjl takes the best set partition without gradient refinement; this
+    # checks that refinement would not have found a lower value
+    for nu in np.linspace(0.0, NU0, 33, endpoint=False):
+        p = bounds._fbjl_joint(float(nu))
+        unrefined = intrinsic_info(p, refine=False)
+        assert intrinsic_info(p, refine=True) >= unrefined - 1e-12, nu
+        assert fbjl_bound(float(nu)) == unrefined
 
 
 # --- convex hull ---------------------------------------------------------------
@@ -124,7 +180,7 @@ def test_hull_grid_mismatch():
 
 
 def test_hull_curve_invariants_on_attack_bounds():
-    hull = hull_curve(grid=24, seed=0)
+    hull = hull_curve(grid=24)
     al = bound_curve("al", grid=24)
     fb = bound_curve("fbjl", grid=24)
     mins = np.minimum(al.values, fb.values)
@@ -224,6 +280,14 @@ def test_curve_generators_monotone():
         assert np.all(np.diff(curve.values) <= 1e-9), name
     curve = bound_curve("fbjl", grid=16)
     assert np.all(np.diff(curve.values) <= 1e-6)
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "erasure"])
+def test_channel_curve_above_achievable_rate(kind):
+    # each bound must stay above the Pironio rate of its Choi device, read at
+    # the curve's own omega and QBER columns; dephasing meets it exactly
+    for s in channel_curve(kind, grid=401).samples:
+        assert s.value >= pironio_rate_at(s.omega, s.qber) - 1e-12, (kind, s)
 
 
 def test_channel_curve_samples():

@@ -33,7 +33,7 @@ from diqkd_bounds import (
 from diqkd_bounds import measures
 from diqkd_bounds.measures import TWO_SQRT2, _ErObjective, _IntrinsicObjective
 from diqkd_bounds.states import PAULI_Z
-from util import random_density
+from util import loop_cmi, random_density
 
 H = lambda x: 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
@@ -216,20 +216,6 @@ def test_cmi_fixed_strategy_mixture_is_exactly_affine():
 
 
 # --- classical mutual information -------------------------------------------
-
-def loop_cmi(q: np.ndarray) -> float:
-    """I(A:B|F) of q[a][b][f] by explicit loops over every nonzero cell."""
-    n_a, n_b, n_f = q.shape
-
-    def h(cells):
-        return -sum(v * math.log2(v) for v in cells if v > 0)
-
-    h_abf = h(q[a, b, f] for a in range(n_a) for b in range(n_b) for f in range(n_f))
-    h_af = h(sum(q[a, b, f] for b in range(n_b)) for a in range(n_a) for f in range(n_f))
-    h_bf = h(sum(q[a, b, f] for a in range(n_a)) for b in range(n_b) for f in range(n_f))
-    h_f = h(sum(q[a, b, f] for a in range(n_a) for b in range(n_b)) for f in range(n_f))
-    return h_af + h_bf - h_abf - h_f
-
 
 def test_entropies_keep_cells_below_the_support_cutoff():
     # cells of 1e-13 carry ~4e-12 bit each, far above rounding

@@ -1,8 +1,25 @@
-"""Shared helpers for the test suite: seeded random states and measurements."""
+"""Shared helpers for the test suite: seeded random states and measurements,
+and a loop-computed conditional mutual information."""
+
+import math
 
 import numpy as np
 
 from diqkd_bounds import DensityMatrix, MeasurementFamily, observable_povm
+
+
+def loop_cmi(q: np.ndarray) -> float:
+    """I(A:B|F) of q[a][b][f] by explicit loops over every nonzero cell."""
+    n_a, n_b, n_f = q.shape
+
+    def h(cells):
+        return -sum(v * math.log2(v) for v in cells if v > 0)
+
+    h_abf = h(q[a, b, f] for a in range(n_a) for b in range(n_b) for f in range(n_f))
+    h_af = h(sum(q[a, b, f] for b in range(n_b)) for a in range(n_a) for f in range(n_f))
+    h_bf = h(sum(q[a, b, f] for a in range(n_a)) for b in range(n_b) for f in range(n_f))
+    h_f = h(sum(q[a, b, f] for a in range(n_a) for b in range(n_b)) for f in range(n_f))
+    return h_af + h_bf - h_abf - h_f
 
 
 def random_density(rng, dims) -> DensityMatrix:
