@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -29,7 +29,12 @@ from .devices import (
     observable_povm,
     qber,
 )
-from .errors import DimensionMismatchError, GridMismatchError, NoViolationError
+from .errors import (
+    DimensionMismatchError,
+    GridMismatchError,
+    NoViolationError,
+    NumericalFailureError,
+)
 from .measures import (
     TWO_SQRT2,
     cmi_ccq,
@@ -37,7 +42,7 @@ from .measures import (
     er_isotropic_closed,
     intrinsic_info,
 )
-from .polytope import max_local_weight_with_residual
+from .polytope import LocalDecomposition, max_local_weight_with_residual
 from .states import (
     DensityMatrix,
     KET_PHI_PLUS,
@@ -125,56 +130,77 @@ def _tsirelson_behavior() -> Behavior:
     return behavior_from(*honest_chsh_device(0.0))
 
 
+@functools.cache
+def _fbjl_anchor(nu: float) -> LocalDecomposition:
+    """Fixed-residual decomposition of the honest device, solved by LP.
+
+    Called at the anchors only: nu* (every round local, q_L = 1) and 1 (the
+    uniform behavior).
+    """
+    return max_local_weight_with_residual(behavior_from(*honest_chsh_device(nu)),
+                                          _tsirelson_behavior())
+
+
+def _fbjl_decomposition(nu: float) -> LocalDecomposition:
+    """Fixed-residual decomposition of the honest device at nu, from the anchors.
+
+    The honest behavior is affine in nu, so no LP runs here.  With
+    t = nu / nu*, up to nu* the vertex weights are t w* and the Tsirelson
+    residual carries 1 - t; beyond nu* they are s w* + (1 - s) w1 with
+    s = (1 - nu) / (1 - nu*), and the residual carries nothing.
+    """
+    frontier = _fbjl_anchor(NU_STAR)
+    if nu <= NU_STAR:
+        t = nu / NU_STAR
+        return replace(frontier, local_weight=t, vertex_weights=t * frontier.vertex_weights,
+                       residual_used=t < 1.0)
+    s = (1.0 - nu) / (1.0 - NU_STAR)
+    return replace(frontier, vertex_weights=(s * frontier.vertex_weights
+                                             + (1.0 - s) * _fbjl_anchor(1.0).vertex_weights))
+
+
 def _fbjl_joint(nu: float) -> np.ndarray:
     """Key-setting distribution p(a, b, e) of the convex-combination attack.
 
-    Eve's symbols are the key-setting outcome pairs of the deterministic
-    vertices, in order of first appearance, each a point mass on its own
-    cell, and last "?" for the quantum rounds, which carries the noiseless
-    device's key slice (diagonal; an all-zero column when no round is
-    quantum).
+    Built from `_fbjl_decomposition`.  Eve's symbols are the key-setting
+    outcome pairs of the deterministic vertices, in order of first
+    appearance, each a point mass on its own cell, and last "?" for the
+    quantum rounds, which carries the noiseless device's key slice
+    (diagonal; an all-zero column when no round is quantum).  Raises
+    `NumericalFailureError` when the (a, b) marginal misses the honest key
+    slice by more than 1e-12.
     """
-    behavior = behavior_from(*honest_chsh_device(nu))
-    dec = max_local_weight_with_residual(behavior, _tsirelson_behavior())
-    symbols: dict[object, int] = {}
-
-    def index(sym) -> int:
-        if sym not in symbols:
-            symbols[sym] = len(symbols)
-        return symbols[sym]
-
-    entries: list[tuple[int, int, int, float]] = []
+    dec = _fbjl_decomposition(nu)
+    columns: dict[object, np.ndarray] = {}
     for w, v in zip(dec.vertex_weights, dec.vertices):
-        if w <= 1e-12:
-            continue
-        a, b = v.a_map[0], v.b_map[0]
-        entries.append((a, b, index((a, b)), float(w)))
+        if w > 1e-12:
+            cell = (v.a_map[0], v.b_map[0])
+            columns.setdefault(cell, np.zeros((2, 2)))[cell] += w
     q_nl = 1.0 - dec.local_weight
-    e_q = index("?")
+    columns["?"] = np.zeros((2, 2))
     if dec.residual_used and q_nl > 1e-12:
-        slab = dec.residual.slice_xy(0, 0)
-        for a in range(slab.shape[0]):
-            for b in range(slab.shape[1]):
-                if slab[a, b] > 0.0:
-                    entries.append((a, b, e_q, float(q_nl * slab[a, b])))
-    n_a, n_b = behavior.shape[2], behavior.shape[3]
-    p_abe = np.zeros((n_a, n_b, len(symbols)))
-    for a, b, e, w in entries:
-        p_abe[a, b, e] += w
-    return p_abe / p_abe.sum()
+        columns["?"] = q_nl * dec.residual.slice_xy(0, 0)
+    p_abe = np.stack(list(columns.values()), axis=-1)
+    p_abe /= p_abe.sum()
+    key = np.array([[1.0 - nu / 2.0, nu / 2.0], [nu / 2.0, 1.0 - nu / 2.0]]) / 2.0
+    if np.max(np.abs(p_abe.sum(axis=2) - key)) > 1e-12:
+        raise NumericalFailureError(f"fbjl joint misses the honest key slice at nu={nu}")
+    return p_abe
 
 
 def fbjl_bound(nu: float) -> float:
     """Convex-combination attack bound with a quantum nonlocal part.
 
-    The honest device's behavior at noise nu is split by linear programming
-    into a maximal-weight mixture of deterministic vertices plus the
-    noiseless honest device (the Tsirelson-point behavior of the same
-    measurements), so every round Eve hands out is realizable by a quantum
-    device.  The optimal local weight is q_L = nu / nu* up to the frontier
-    nu* = 1 - 1/sqrt(2) and 1 beyond it.  Eve's symbol is the vertex's
-    key-setting outcome pair on local rounds and "?" on quantum rounds.  At
-    nu = 0 every round is quantum and the value is one bit.
+    The honest device's behavior at noise nu is split into a maximal-weight
+    mixture of deterministic vertices plus the noiseless honest device (the
+    Tsirelson-point behavior of the same measurements), so every round Eve
+    hands out is realizable by a quantum device.  The optimal local weight
+    is q_L = nu / nu* up to the frontier nu* = 1 - 1/sqrt(2) and 1 beyond
+    it.  The linear program runs once per process, at the anchors nu* (and
+    1, for nu > nu*); every other nu mixes their weights, since the honest
+    behavior is affine in nu.  Eve's symbol is the vertex's key-setting
+    outcome pair on local rounds and "?" on quantum rounds.  At nu = 0 every
+    round is quantum and the value is one bit.
 
     The value is the intrinsic information of the key-setting distribution
     p(a, b, e), evaluated without refinement:

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_curve(args) -> str:
     if args.name == "channel":
         if not args.kind:
-            raise SystemExit("curve channel requires --kind")
+            raise SystemExit("error: curve channel requires --kind")
         curve = channel_curve(args.kind, grid=args.grid, p_min=args.p_min,
                               p_max=args.p_max)
     elif args.name == "hull":
@@ -222,13 +222,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
             return 2
+        _emit(text, args.output)
     except SystemExit as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(text, args.output)
     return 0
 
 

@@ -12,6 +12,7 @@ from diqkd_bounds import (
     NoViolationError,
     NU_STAR,
     al_bound,
+    behavior_from,
     bound_curve,
     cc_sq_multi,
     channel_curve,
@@ -26,10 +27,11 @@ from diqkd_bounds import (
     hull_curve,
     intrinsic_nonlocality_upper,
     make_bell_diagonal,
+    max_local_weight_with_residual,
     observable_povm,
     pironio_er_bound,
 )
-from diqkd_bounds import bounds
+from diqkd_bounds import bounds, polytope
 from diqkd_bounds.measures import TWO_SQRT2, intrinsic_info
 from diqkd_bounds.states import PAULI_Z, projector
 from util import loop_cmi
@@ -138,6 +140,79 @@ def test_fbjl_refinement_gains_nothing_below_nu0():
         unrefined = intrinsic_info(p, refine=False)
         assert intrinsic_info(p, refine=True) >= unrefined - 1e-12, nu
         assert fbjl_bound(float(nu)) == unrefined
+
+
+def test_fbjl_anchored_decomposition_reconstructs_device():
+    for nu in np.linspace(0.0, 1.0, 41):
+        dec = bounds._fbjl_decomposition(float(nu))
+        b = behavior_from(*honest_chsh_device(float(nu)))
+        assert np.max(np.abs(dec.reconstruct() - b.table)) <= 1e-12, nu
+        assert dec.vertex_weights.min() >= 0.0
+        assert abs(dec.vertex_weights.sum() - min(nu / NU_STAR, 1.0)) <= 1e-12, nu
+
+
+def per_point_lp_joint(nu):
+    """fbjl's joint from a fixed-residual LP solved at nu itself, assembled
+    as before the anchors: vertex symbols in order of first appearance, "?"
+    last, normalized."""
+    behavior = behavior_from(*honest_chsh_device(nu))
+    dec = max_local_weight_with_residual(behavior, behavior_from(*honest_chsh_device(0.0)))
+    symbols = {}
+    entries = []
+    for w, v in zip(dec.vertex_weights, dec.vertices):
+        if w > 1e-12:
+            cell = (v.a_map[0], v.b_map[0])
+            entries.append(cell + (symbols.setdefault(cell, len(symbols)), w))
+    e_q = symbols.setdefault("?", len(symbols))
+    if dec.residual_used and 1.0 - dec.local_weight > 1e-12:
+        slab = dec.residual.slice_xy(0, 0)
+        for a in range(2):
+            for b in range(2):
+                if slab[a, b] > 0.0:
+                    entries.append((a, b, e_q, (1.0 - dec.local_weight) * slab[a, b]))
+    p = np.zeros((2, 2, len(symbols)))
+    for a, b, e, w in entries:
+        p[a, b, e] += w
+    return p / p.sum()
+
+
+def test_fbjl_anchors_match_per_point_lp():
+    # the per-point LP's own round-off reaches 2.2e-15 on this grid, the
+    # anchored joint stays within 1e-15 of the exact cell masses
+    for nu in np.linspace(0.0, 1.0, 257):
+        nu = float(nu)
+        old, new = per_point_lp_joint(nu), bounds._fbjl_joint(nu)
+        quantum = np.eye(2) * (1.0 - min(nu / NU_STAR, 1.0)) / 2.0
+        key = np.array([[1.0 - nu / 2.0, nu / 2.0], [nu / 2.0, 1.0 - nu / 2.0]]) / 2.0
+        assert np.max(np.abs(new[:, :, :-1].sum(axis=2) - (key - quantum))) <= 1e-15, nu
+        assert np.max(np.abs(new[:, :, -1] - quantum)) <= 1e-15, nu
+        assert np.max(np.abs(new[:, :, :-1].sum(axis=2) - old[:, :, :-1].sum(axis=2))) <= 4e-15, nu
+        assert np.max(np.abs(new[:, :, -1] - old[:, :, -1])) <= 4e-15, nu
+        c = max(old[0, 0, -1], old[1, 1, -1])
+        beta = min(old[0, 1, :-1].sum(), old[1, 0, :-1].sum())
+        old_value = 0.0 if c <= beta else intrinsic_info(old, refine=False)
+        value = fbjl_bound(nu)
+        assert abs(value - old_value) <= 1e-12, nu
+        assert value <= old_value + 1e-9, nu
+
+
+def test_fbjl_curve_solves_lp_only_at_anchors(monkeypatch):
+    solve = polytope.simplex_solve
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "simplex_solve", counting_solve)
+    bounds._tsirelson_behavior.cache_clear()
+    bounds._fbjl_anchor.cache_clear()
+    bound_curve("fbjl", grid=64)
+    assert len(calls) == 1
+    calls.clear()
+    bounds._fbjl_anchor.cache_clear()
+    bound_curve("fbjl", grid=64, lo=0.0, hi=1.0)  # past nu*: the nu = 1 anchor too
+    assert len(calls) <= 2
 
 
 # --- convex hull ---------------------------------------------------------------

@@ -150,8 +150,32 @@ def test_numerical_error_exit_code(tmp_path, capsys):
 
 
 def test_channel_requires_kind(capsys):
-    code, _, err = run_cli(capsys, "curve", "channel")
+    code, out, err = run_cli(capsys, "curve", "channel")
     assert code == 2
+    assert out == ""
+    assert err == "error: curve channel requires --kind\n"
+
+
+@pytest.mark.parametrize("command", ["curve", "er", "localweight", "device", "simulate"])
+def test_unwritable_output_is_one_line_error(tmp_path, capsys, command):
+    state_path = tmp_path / "state.json"
+    save_state(make_isotropic(0.1), state_path)
+    behavior_path = tmp_path / "behavior.json"
+    save_behavior(behavior_from(*honest_chsh_device(0.1)), behavior_path)
+    argv = {
+        "curve": ["curve", "hull", "--grid", "3"],
+        "er": ["er", "--file", str(state_path), "--restarts", "1"],
+        "localweight": ["localweight", "--file", str(behavior_path)],
+        "device": ["device", "--nu", "0.1"],
+        "simulate": ["simulate", "--kind", "depolarizing", "--p", "0.1"],
+    }[command]
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_device_out_of_range_is_numerical_error(capsys):
