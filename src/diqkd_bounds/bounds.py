@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .devices import (
     Behavior,
     EveMap,
     MeasurementFamily,
+    _input_distribution,
     assemble_ccq,
     behavior_from,
     chsh_value,
@@ -30,7 +31,6 @@ from .devices import (
     qber,
 )
 from .errors import (
-    DimensionMismatchError,
     GridMismatchError,
     NoViolationError,
     NumericalFailureError,
@@ -44,20 +44,24 @@ from .measures import (
 )
 from .polytope import LocalDecomposition, max_local_weight_with_residual
 from .states import (
+    ChannelKind,
     DensityMatrix,
-    KET_PHI_PLUS,
     PAULI_X,
     PAULI_Z,
     QubitChannel,
     apply_channel,
     binary_entropy,
     make_bell_diagonal,
-    projector,
 )
 
 NU_STAR = 1.0 - 1.0 / math.sqrt(2.0)  # isotropic noise where the CHSH violation dies
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _omega(nu: float) -> float:
+    """CHSH value of the honest device at isotropic noise nu."""
+    return TWO_SQRT2 * (1.0 - nu)
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def al_bound(nu: float) -> float:
     """
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu={nu} outside [0, 1]")
-    omega = TWO_SQRT2 * (1.0 - nu)
+    omega = _omega(nu)
     if omega < 2.0:
         return 0.0
     c = math.sqrt(max((omega / 2.0) ** 2 - 1.0, 0.0))
@@ -328,9 +332,6 @@ def pironio_er_bound(omega: float) -> float:
     return er_bell_diagonal_closed((1.0 + c) / 2.0)
 
 
-ChannelKind = Literal["dephasing", "depolarizing", "erasure"]
-
-
 def channel_di_bound(kind: ChannelKind, p: float) -> float:
     """Upper bound on the CHSH device-independent secret-key capacity.
 
@@ -428,19 +429,12 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     q = min(max((1.0 - c) / 2.0, 0.0), 1.0)
 
     # target device: channel on Bob's half of Phi+, honest measurements
-    phi = DensityMatrix(projector(KET_PHI_PLUS), (2, 2))
+    phi, honest = honest_chsh_device(0.0)
     target_state = apply_channel(QubitChannel(kind, p), phi, 1)
-    s = 1.0 / math.sqrt(2.0)
-    alice_honest = tuple(observable_povm(o) for o in
-                         (PAULI_Z, s * (PAULI_Z + PAULI_X), s * (PAULI_Z - PAULI_X)))
-    bob_honest = tuple(observable_povm(o) for o in (PAULI_Z, PAULI_X))
+    bob_target = honest.bob
     if kind == "erasure":
-        bob_target = tuple(_erasure_extended(e) for e in bob_honest)
-        alice_target = alice_honest
-    else:
-        bob_target = bob_honest
-        alice_target = alice_honest
-    target_behavior = behavior_from(target_state, MeasurementFamily(alice_target, bob_target))
+        bob_target = tuple(_erasure_extended(e) for e in honest.bob)
+    target_behavior = behavior_from(target_state, MeasurementFamily(honest.alice, bob_target))
     omega_target = chsh_value(target_behavior)
 
     # dephasing device: tilted measurements on the dephased Phi+
@@ -455,8 +449,7 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     else:
         qber_target = 1.0  # convention: erased rounds are declared errors
         alice_deph = (_anti_z_povm(), observable_povm(a1), observable_povm(a2))
-    bob_deph = tuple(observable_povm(o) for o in (PAULI_Z, PAULI_X))
-    deph_behavior = behavior_from(deph_state, MeasurementFamily(alice_deph, bob_deph))
+    deph_behavior = behavior_from(deph_state, MeasurementFamily(alice_deph, honest.bob))
     omega_deph = chsh_value(deph_behavior)
     qber_deph = qber(deph_behavior)
 
@@ -467,6 +460,21 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
         chsh_deviation=float(abs(omega_target - omega_deph)),
         qber_deviation=float(abs(qber_target - qber_deph)),
     )
+
+
+def _setting_cmis(state: DensityMatrix, family: MeasurementFamily,
+                  eve_maps: dict[tuple[int, int], EveMap] | None,
+                  p_xy: np.ndarray | None = None):
+    """Yield (x, y, I(A:B|E)) per setting, Eve holding her mapped purifier.
+
+    With ``p_xy`` given, settings of zero weight are skipped.
+    """
+    maps = eve_maps or {}
+    for x in range(family.x_count):
+        for y in range(family.y_count):
+            if p_xy is None or p_xy[x, y] > 0.0:
+                ccq = assemble_ccq(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
+                yield x, y, cmi_ccq(ccq)
 
 
 def intrinsic_nonlocality_upper(state: DensityMatrix, family: MeasurementFamily,
@@ -480,13 +488,7 @@ def intrinsic_nonlocality_upper(state: DensityMatrix, family: MeasurementFamily,
     because the setting registers are classical flags; the infimum over all
     extensions is not computed, so this is an upper bound only.
     """
-    maps = eve_maps or {}
-    best = 0.0
-    for x in range(family.x_count):
-        for y in range(family.y_count):
-            ccq = assemble_ccq(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
-            best = max(best, cmi_ccq(ccq))
-    return best
+    return max([0.0, *(v for _, _, v in _setting_cmis(state, family, eve_maps))])
 
 
 def cc_sq_multi(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,
@@ -497,43 +499,35 @@ def cc_sq_multi(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarra
     per-setting processed purifier; equals the flagged broadcast evaluation
     by the classical-flag decomposition identity.
     """
-    p = np.asarray(p_xy, dtype=float)
-    if p.shape != (family.x_count, family.y_count):
-        raise DimensionMismatchError(f"p_xy must have shape {(family.x_count, family.y_count)}")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p_xy is not a probability distribution")
-    maps = eve_maps or {}
-    total = 0.0
-    for x in range(family.x_count):
-        for y in range(family.y_count):
-            if p[x, y] <= 0.0:
-                continue
-            ccq = assemble_ccq(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
-            total += p[x, y] * cmi_ccq(ccq)
-    return total
+    p = _input_distribution(family, p_xy)
+    return sum(p[x, y] * v for x, y, v in _setting_cmis(state, family, eve_maps, p))
 
 
 # ---------------------------------------------------------------------------
 # curve generation
 # ---------------------------------------------------------------------------
 
-CURVE_NAMES = ("al", "fbjl", "fractional", "pironio")
-
-
-def _sample_meta_nu(nu: float) -> tuple[float, float]:
-    return TWO_SQRT2 * (1.0 - nu), nu / 2.0
+# Point functions of nu, by curve name.  Each looks its bound up by name when
+# called, so a wrapper installed on the module attribute sees every sample.
+# The relative-entropy bounds are 0 once the device no longer violates CHSH.
+CURVES: dict[str, Callable[[float], float]] = {
+    "al": lambda nu: al_bound(nu),
+    "fbjl": lambda nu: fbjl_bound(nu),
+    "fractional": lambda nu: fractional_er_bound(_omega(nu)) if _omega(nu) >= 2.0 else 0.0,
+    "pironio": lambda nu: pironio_er_bound(_omega(nu)) if _omega(nu) >= 2.0 else 0.0,
+}
 
 
 def bound_curve(name: str, grid: int = 64, lo: float | None = None,
                 hi: float | None = None, axis: str = "nu") -> BoundCurve:
-    """Sample one named bound on a parameter grid.
+    """Sample one bound of `CURVES` on a parameter grid.
 
     ``axis`` is "nu" (isotropic noise, default range [0, 1 - 1/sqrt(2)]) or
     "omega" (CHSH value, default range [2, 2*sqrt(2)]).  Each sample carries
     the matching omega = 2*sqrt(2)*(1 - nu) and QBER = nu/2.
     """
-    if name not in CURVE_NAMES:
-        raise ValueError(f"unknown curve {name!r}; pick one of {CURVE_NAMES}")
+    if name not in CURVES:
+        raise ValueError(f"unknown curve {name!r}; pick one of {tuple(CURVES)}")
     if grid < 2:
         raise ValueError("grid must be at least 2")
     if axis == "nu":
@@ -553,19 +547,12 @@ def bound_curve(name: str, grid: int = 64, lo: float | None = None,
     else:
         raise ValueError(f"axis must be 'nu' or 'omega', got {axis!r}")
 
+    point = CURVES[name]
     samples = []
     for param, nu in zip(params, nus):
-        omega, err = _sample_meta_nu(float(nu))
-        if name == "al":
-            value = al_bound(float(nu))
-        elif name == "fbjl":
-            value = fbjl_bound(float(nu))
-        elif name == "fractional":
-            value = fractional_er_bound(max(min(omega, TWO_SQRT2), 2.0)) if omega >= 2.0 else 0.0
-        else:
-            value = pironio_er_bound(max(min(omega, TWO_SQRT2), 2.0)) if omega >= 2.0 else 0.0
-        samples.append(CurveSample(float(param), float(omega), float(err),
-                                   float(max(value, 0.0))))
+        nu = float(nu)
+        samples.append(CurveSample(float(param), _omega(nu), nu / 2.0,
+                                   float(max(point(nu), 0.0))))
     return BoundCurve(name, axis, tuple(samples))
 
 

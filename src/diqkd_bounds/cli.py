@@ -16,6 +16,7 @@ from typing import Sequence
 
 from . import fileio
 from .bounds import (
+    CURVES,
     BoundCurve,
     SimulationReport,
     bound_curve,
@@ -86,8 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("curve", help="sample a named bound curve")
-    curve.add_argument("name", choices=["al", "fbjl", "hull", "fractional",
-                                        "pironio", "channel"])
+    names = list(CURVES)
+    names.insert(names.index("fbjl") + 1, "hull")  # right after the two curves it joins
+    curve.set_defaults(run=_run_curve)
+    curve.add_argument("name", choices=[*names, "channel"])
     curve.add_argument("--grid", type=int, default=64)
     curve.add_argument("--axis", choices=["nu", "omega"], default="nu")
     curve.add_argument("--min", type=float, default=None, dest="lo")
@@ -102,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--output", default=None, help="write here instead of stdout")
 
     er = sub.add_parser("er", help="numerical relative entropy of entanglement")
+    er.set_defaults(run=_run_er)
     er.add_argument("--file", required=True, help="state file (JSON)")
     er.add_argument("--ensemble-size", type=int, default=None)
     er.add_argument("--restarts", type=int, default=8)
@@ -110,16 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
     er.add_argument("--output", default=None)
 
     lw = sub.add_parser("localweight", help="maximal local weight of a behavior")
+    lw.set_defaults(run=_run_localweight)
     lw.add_argument("--file", required=True, help="behavior file (JSON)")
     lw.add_argument("--format", choices=["csv", "json"], default="json")
     lw.add_argument("--output", default=None)
 
     dev = sub.add_parser("device", help="dump the honest CHSH device behavior")
+    dev.set_defaults(run=_run_device)
     dev.add_argument("--nu", type=float, required=True)
     dev.add_argument("--format", choices=["csv", "json"], default="json")
     dev.add_argument("--output", default=None)
 
     sim = sub.add_parser("simulate", help="dephasing-simulation verification report")
+    sim.set_defaults(run=_run_simulate)
     sim.add_argument("--kind", choices=["depolarizing", "erasure"], required=True)
     sim.add_argument("--p", type=float, required=True)
     sim.add_argument("--format", choices=["csv", "json"], default="json")
@@ -209,19 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "curve":
-            text = _run_curve(args)
-        elif args.command == "er":
-            text = _run_er(args)
-        elif args.command == "localweight":
-            text = _run_localweight(args)
-        elif args.command == "device":
-            text = _run_device(args)
-        elif args.command == "simulate":
-            text = _run_simulate(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
-            return 2
+        text = args.run(args)
         _emit(text, args.output)
     except SystemExit as exc:
         sys.stderr.write(f"{exc}\n")

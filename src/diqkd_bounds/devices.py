@@ -123,6 +123,8 @@ class Behavior:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 4:
             raise DimensionMismatchError("behavior table must be indexed [x][y][a][b]")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("behavior table contains NaN or Inf entries")
         if t.min() < -NEGATIVE_CLAMP:
             raise ValueError(f"probability {t.min():.3e} below -{NEGATIVE_CLAMP}")
         sums = t.sum(axis=(2, 3))
@@ -297,30 +299,31 @@ def assemble_ccq(state: DensityMatrix, pair_povm: tuple[Sequence[np.ndarray], Se
     """
     if len(state.dims) != 2:
         raise DimensionMismatchError("assemble_ccq expects a bipartite state")
-    alice_povm, bob_povm = pair_povm
     da, db = state.dims
+    alice_povm, bob_povm = (np.array(povm, dtype=complex) for povm in pair_povm)
+    if alice_povm.shape[1:] != (da, da) or bob_povm.shape[1:] != (db, db):
+        raise DimensionMismatchError("POVM pair incompatible with state dimensions")
     psi = purify(state)
-    rank = psi.dims[-1]
-    w = psi.amplitudes.reshape(da * db, rank)
-    ops = []
-    for ea in alice_povm:
-        row = []
-        for eb in bob_povm:
-            k = kron(ea, eb)
-            if k.shape != (da * db, da * db):
-                raise DimensionMismatchError("POVM pair incompatible with state dimensions")
-            op = (w.conj().T @ k @ w).T  # purifier-side conditional operator
-            if eve_map is not None:
-                before = float(np.trace(op).real)
-                op = eve_map(op)
-                if abs(float(np.trace(op).real) - before) > 1e-9:
-                    raise ValueError("eve_map does not preserve the trace")
-            row.append(op)
-        ops.append(row)
-    d_e = ops[0][0].shape[0]
-    arr = np.array([[ops[a][b] for b in range(len(bob_povm))] for a in range(len(alice_povm))],
-                   dtype=complex).reshape(len(alice_povm), len(bob_povm), d_e, d_e)
-    return CcqState(arr)
+    w = psi.amplitudes.reshape(da, db, psi.dims[-1])
+    # purifier-side conditional operators (w^dag (M_a (x) M_b) w)^T, indexed [a, b]
+    ops = np.einsum("ijs,aik,bjl,klr->abrs", w.conj(), alice_povm, bob_povm, w)
+    if eve_map is not None:
+        mapped = np.array([[eve_map(op) for op in row] for row in ops], dtype=complex)
+        traces = [np.einsum("abkk->ab", t).real for t in (ops, mapped)]
+        if np.max(np.abs(traces[1] - traces[0])) > 1e-9:
+            raise ValueError("eve_map does not preserve the trace")
+        ops = mapped
+    return CcqState(ops)
+
+
+def _input_distribution(family: MeasurementFamily, p_xy: np.ndarray) -> np.ndarray:
+    """``p_xy`` as a float array, checked to be a distribution over the family's settings."""
+    p = np.asarray(p_xy, dtype=float)
+    if p.shape != (family.x_count, family.y_count):
+        raise DimensionMismatchError(f"p_xy must have shape {(family.x_count, family.y_count)}")
+    if not np.all(np.isfinite(p)) or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("p_xy is not a probability distribution")
+    return p
 
 
 def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,
@@ -331,11 +334,7 @@ def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndar
     purifier conditionals, weighted by p(x, y); the block index doubles as
     her copy of the announced inputs.
     """
-    p = np.asarray(p_xy, dtype=float)
-    if p.shape != (family.x_count, family.y_count):
-        raise DimensionMismatchError(f"p_xy must have shape {(family.x_count, family.y_count)}")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p_xy is not a probability distribution")
+    p = _input_distribution(family, p_xy)
     blocks = {}
     dims = []
     for x in range(family.x_count):

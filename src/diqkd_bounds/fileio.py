@@ -30,13 +30,24 @@ def behavior_to_dict(b: Behavior) -> dict:
             "p": b.table.tolist()}
 
 
-def behavior_from_dict(doc: dict) -> Behavior:
-    for key in ("x_count", "y_count", "a_count", "b_count", "p"):
+def _fields(doc, keys: tuple[str, ...], kind: str) -> list:
+    """The values of ``keys`` in a JSON object; ValueError if one is missing."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} document must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
         if key not in doc:
-            raise ValueError(f"behavior document is missing field {key!r}")
-    table = np.asarray(doc["p"], dtype=float)
-    expected = (doc["x_count"], doc["y_count"], doc["a_count"], doc["b_count"])
-    if table.shape != tuple(int(n) for n in expected):
+            raise ValueError(f"{kind} document is missing field {key!r}")
+    return [doc[key] for key in keys]
+
+
+def behavior_from_dict(doc: dict) -> Behavior:
+    *counts, p = _fields(doc, ("x_count", "y_count", "a_count", "b_count", "p"), "behavior")
+    try:
+        expected = tuple(int(n) for n in counts)
+        table = np.asarray(p, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed behavior document: {exc}") from exc
+    if table.shape != expected:
         raise ValueError(f"p has shape {table.shape}, fields say {expected}")
     return Behavior(table)
 
@@ -56,15 +67,15 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 
 def state_from_dict(doc: dict) -> DensityMatrix:
-    for key in ("dims", "entries"):
-        if key not in doc:
-            raise ValueError(f"state document is missing field {key!r}")
-    dims = tuple(int(d) for d in doc["dims"])
-    total = int(np.prod(dims))
-    entries = doc["entries"]
-    if len(entries) != total * total:
-        raise ValueError(f"expected {total * total} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    dims, entries = _fields(doc, ("dims", "entries"), "state")
+    try:
+        dims = tuple(int(d) for d in dims)
+        total = int(np.prod(dims))
+        if len(entries) != total * total:
+            raise ValueError(f"expected {total * total} entries, got {len(entries)}")
+        flat = np.array([complex(re, im) for re, im in entries])
+    except TypeError as exc:
+        raise ValueError(f"malformed state document: {exc}") from exc
     return DensityMatrix(flat.reshape(total, total), dims)
 
 

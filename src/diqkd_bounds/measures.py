@@ -105,12 +105,17 @@ def cmi_ccq(c: CcqState) -> float:
     return max(value, 0.0)
 
 
+def _log2(t: np.ndarray) -> np.ndarray:
+    """log2 elementwise, floored at log2(1e-300) so that zero cells stay finite."""
+    return np.log2(np.maximum(t, 1e-300))
+
+
 def _plogp(t: np.ndarray) -> np.ndarray:
-    """t * log2(t) elementwise, taking 0 * log 0 = 0 at exact zero only.
+    """t * log2(t) elementwise, 0 at t = 0.
 
     There is no support cutoff: a cell of 1e-13 still carries 4e-12 bit.
     """
-    return t * np.log2(np.where(t > 0.0, t, 1.0))
+    return t * _log2(t)
 
 
 def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
@@ -162,17 +167,12 @@ class _IntrinsicObjective:
         q_bf = q.sum(axis=0, keepdims=True)
         q_f = q.sum(axis=(0, 1), keepdims=True)
 
-        def plogp(t):
-            log = np.log2(np.clip(t, 1e-300, None))
-            return float((t * log).sum()), log
-
         # I = H(AF) + H(BF) - H(ABF) - H(F) over every cell: a support cutoff
         # would drop the tiny cells the optimizer drives toward and report
         # values below what the channel gives
-        h_abf, l_abf = plogp(q)
-        h_af, l_af = plogp(q_af)
-        h_bf, l_bf = plogp(q_bf)
-        h_f, l_f = plogp(q_f)
+        cells = (q, q_af, q_bf, q_f)
+        l_abf, l_af, l_bf, l_f = logs = [_log2(t) for t in cells]
+        h_abf, h_af, h_bf, h_f = (float((t * lg).sum()) for t, lg in zip(cells, logs))
         value = h_abf + h_f - h_af - h_bf
         # dI/dq(abf) in bits; the -1/ln2 terms of the four entropies cancel
         g_q = l_abf + l_f - l_af - l_bf

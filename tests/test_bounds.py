@@ -357,6 +357,24 @@ def test_curve_generators_monotone():
     assert np.all(np.diff(curve.values) <= 1e-6)
 
 
+@pytest.mark.parametrize("name", ["al", "fbjl", "fractional", "pironio"])
+def test_bound_curve_looks_up_point_function_at_call_time(monkeypatch, name):
+    # wrappers installed on the module attribute (span tracing, counting)
+    # must see every sample, so CURVES may not hold the function objects
+    target = {"al": "al_bound", "fbjl": "fbjl_bound", "fractional": "fractional_er_bound",
+              "pironio": "pironio_er_bound"}[name]
+    original = getattr(bounds, target)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bounds, target, counting)
+    bound_curve(name, grid=3)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "erasure"])
 def test_channel_curve_above_achievable_rate(kind):
     # each bound must stay above the Pironio rate of its Choi device, read at

@@ -190,3 +190,31 @@ def test_curve_argument_outside_domain_is_numerical_error(capsys, args):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_localweight_nan_behavior_is_one_line_error(tmp_path, capsys):
+    table = [[[[0.25] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    table[1][0][0][1] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"x_count": 2, "y_count": 2, "a_count": 2, "b_count": 2,
+                                "p": table}))  # json writes the non-standard NaN token
+    code, out, err = run_cli(capsys, "localweight", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,text", [
+    ("localweight", "5"),
+    ("localweight", '{"x_count": null, "y_count": 2, "a_count": 2, "b_count": 2, "p": []}'),
+    ("er", '{"dims": null, "entries": []}'),
+    ("er", '{"dims": [2, 2], "entries": ' + json.dumps(["10"] * 16) + "}"),
+], ids=["json-number", "null-count", "null-dims", "string-entries"])
+def test_malformed_input_file_is_one_line_error(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

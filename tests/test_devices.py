@@ -7,6 +7,7 @@ from diqkd_bounds import (
     BadSettingError,
     Behavior,
     DensityMatrix,
+    DimensionMismatchError,
     assemble_ccq,
     behavior_from,
     broadcast_ccq,
@@ -228,3 +229,47 @@ def test_behavior_rejects_signaling_table():
     t[1, 0] = [[0.9, 0.0], [0.1, 0.0]]
     with pytest.raises(ValueError):
         Behavior(t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_behavior_rejects_non_finite_entries(bad):
+    t = np.full((2, 2, 2, 2), 0.25)
+    t[1, 0, 0, 1] = bad  # NaN passes every comparison of the other checks
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Behavior(t)
+
+
+def test_setting_distribution_rejects_nan():
+    # a NaN weight passes both comparisons of the distribution check
+    state, fam = honest_chsh_device(0.1)
+    p_xy = np.full((3, 2), 1 / 6)
+    p_xy[1, 1] = math.nan
+    with pytest.raises(ValueError, match="not a probability distribution"):
+        broadcast_ccq(state, fam, p_xy)
+
+
+def _random_basis_povm(rng, d):
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    v = np.linalg.eigh(h + h.conj().T)[1]
+    return tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(d))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_assemble_ccq_matches_kron_trace_loop(dims):
+    # reference: Eve's operator (w^dag (M_a (x) M_b) w)^T, one kron per outcome pair
+    rng = np.random.default_rng(sum(dims))
+    rho = random_density(rng, dims)
+    pair = (_random_basis_povm(rng, dims[0]), _random_basis_povm(rng, dims[1]))
+    psi = purify(rho)
+    w = psi.amplitudes.reshape(rho.dim, psi.dims[-1])
+    unitary = np.linalg.qr(rng.standard_normal((w.shape[1],) * 2))[0]
+    for eve_map in (None, kraus_map([unitary])):
+        ccq = assemble_ccq(rho, pair, eve_map)
+        for a, ea in enumerate(pair[0]):
+            for b, eb in enumerate(pair[1]):
+                op = (w.conj().T @ np.kron(ea, eb) @ w).T
+                if eve_map is not None:
+                    op = unitary @ op @ unitary.T
+                assert np.max(np.abs(ccq.eve_ops[a, b] - op)) < 1e-14
+    with pytest.raises(DimensionMismatchError):
+        assemble_ccq(rho, (pair[0], _random_basis_povm(rng, dims[1] + 1)))

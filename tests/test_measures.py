@@ -15,6 +15,7 @@ from diqkd_bounds import (
     DensityMatrix,
     assemble_ccq,
     bound_curve,
+    channel_curve,
     cmi_ccq,
     er_bell_diagonal_closed,
     er_isotropic_closed,
@@ -413,10 +414,16 @@ def test_er_numeric_rejects_empty_search():
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("name", ["fbjl", "hull"])
+@pytest.mark.parametrize("name", ["al", "fbjl", "hull", "fractional", "pironio",
+                                  "channel_dephasing", "channel_depolarizing",
+                                  "channel_erasure"])
 def test_committed_demo_curves_reproduce(name):
-    curve = hull_curve(grid=17).curve if name == "hull" else bound_curve(name, grid=17)
-    rows = (DEMOS / f"curve_{name}.csv").read_text().splitlines()[1:]
+    if name.startswith("channel_"):
+        curve, csv = channel_curve(name.removeprefix("channel_"), grid=21), f"{name}.csv"
+    else:
+        curve = hull_curve(grid=17).curve if name == "hull" else bound_curve(name, grid=17)
+        csv = f"curve_{name}.csv"
+    rows = (DEMOS / csv).read_text().splitlines()[1:]
     assert len(rows) == len(curve.samples)
     for row, s in zip(rows, curve.samples):
         assert row.split(",") == [f"{v:.12g}" for v in (s.param, s.omega, s.qber, s.value)]
