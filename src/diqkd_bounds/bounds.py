@@ -22,6 +22,7 @@ from .devices import (
     EveMap,
     MeasurementFamily,
     _input_distribution,
+    _setting_ccqs,
     assemble_ccq,
     behavior_from,
     chsh_value,
@@ -273,13 +274,12 @@ def convex_hull_bound(c1: BoundCurve, c2: BoundCurve) -> HullResult:
                       tuple(support))
 
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-7) -> tuple[float, float]:
+def _golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-7:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -462,21 +462,6 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     )
 
 
-def _setting_cmis(state: DensityMatrix, family: MeasurementFamily,
-                  eve_maps: dict[tuple[int, int], EveMap] | None,
-                  p_xy: np.ndarray | None = None):
-    """Yield (x, y, I(A:B|E)) per setting, Eve holding her mapped purifier.
-
-    With ``p_xy`` given, settings of zero weight are skipped.
-    """
-    maps = eve_maps or {}
-    for x in range(family.x_count):
-        for y in range(family.y_count):
-            if p_xy is None or p_xy[x, y] > 0.0:
-                ccq = assemble_ccq(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
-                yield x, y, cmi_ccq(ccq)
-
-
 def intrinsic_nonlocality_upper(state: DensityMatrix, family: MeasurementFamily,
                                 eve_maps: dict[tuple[int, int], EveMap] | None = None) -> float:
     """Restricted upper-bound evaluator for the quantum intrinsic nonlocality.
@@ -488,7 +473,7 @@ def intrinsic_nonlocality_upper(state: DensityMatrix, family: MeasurementFamily,
     because the setting registers are classical flags; the infimum over all
     extensions is not computed, so this is an upper bound only.
     """
-    return max([0.0, *(v for _, _, v in _setting_cmis(state, family, eve_maps))])
+    return max([0.0, *(cmi_ccq(c) for _, _, c in _setting_ccqs(state, family, eve_maps))])
 
 
 def cc_sq_multi(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,
@@ -500,7 +485,7 @@ def cc_sq_multi(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarra
     by the classical-flag decomposition identity.
     """
     p = _input_distribution(family, p_xy)
-    return sum(p[x, y] * v for x, y, v in _setting_cmis(state, family, eve_maps, p))
+    return sum(p[x, y] * cmi_ccq(c) for x, y, c in _setting_ccqs(state, family, eve_maps, p))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +528,8 @@ def bound_curve(name: str, grid: int = 64, lo: float | None = None,
         if not 0.0 <= lo < hi <= TWO_SQRT2 + 1e-12:
             raise ValueError(f"omega range [{lo}, {hi}] invalid")
         params = np.linspace(lo, hi, grid)
-        nus = 1.0 - params / TWO_SQRT2
+        # hi may pass 2*sqrt(2) by round-off, which must not give nu < 0
+        nus = np.maximum(1.0 - params / TWO_SQRT2, 0.0)
     else:
         raise ValueError(f"axis must be 'nu' or 'omega', got {axis!r}")
 

@@ -326,6 +326,20 @@ def _input_distribution(family: MeasurementFamily, p_xy: np.ndarray) -> np.ndarr
     return p
 
 
+def _setting_ccqs(state: DensityMatrix, family: MeasurementFamily,
+                  eve_maps: dict[tuple[int, int], EveMap] | None,
+                  p_xy: np.ndarray | None = None):
+    """Yield (x, y, ccq) per setting, Eve holding her purifier mapped by ``eve_maps[(x, y)]``.
+
+    With ``p_xy`` given, settings of zero weight are skipped.
+    """
+    maps = eve_maps or {}
+    for x in range(family.x_count):
+        for y in range(family.y_count):
+            if p_xy is None or p_xy[x, y] > 0.0:
+                yield x, y, assemble_ccq(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
+
+
 def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,
                   eve_maps: dict[tuple[int, int], EveMap] | None = None) -> CcqState:
     """Setting-flagged ccq state for broadcast inputs.
@@ -335,21 +349,13 @@ def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndar
     her copy of the announced inputs.
     """
     p = _input_distribution(family, p_xy)
-    blocks = {}
-    dims = []
-    for x in range(family.x_count):
-        for y in range(family.y_count):
-            emap = (eve_maps or {}).get((x, y))
-            ccq = assemble_ccq(state, (family.alice[x], family.bob[y]), emap)
-            blocks[(x, y)] = ccq
-            dims.append(ccq.eve_dim)
+    blocks = [(p[x, y], ccq.eve_ops) for x, y, ccq in _setting_ccqs(state, family, eve_maps)]
     n_a, n_b = family.outcome_counts()
-    d_total = int(sum(dims))
+    d_total = sum(ops.shape[2] for _, ops in blocks)
     arr = np.zeros((n_a, n_b, d_total, d_total), dtype=complex)
     offset = 0
-    for (x, y), ccq in blocks.items():
-        d = ccq.eve_dim
-        weight = p[x, y]
-        arr[:, :, offset:offset + d, offset:offset + d] = weight * ccq.eve_ops
+    for weight, ops in blocks:
+        d = ops.shape[2]
+        arr[:, :, offset:offset + d, offset:offset + d] = weight * ops
         offset += d
     return CcqState(arr)

@@ -131,12 +131,12 @@ def partial_trace(a, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     return reduced.reshape(kept, kept)
 
 
-def clamp_psd_eigenvalues(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Zero out tiny negative eigenvalues of a matrix declared PSD by the caller.
 
-    Negativity beyond ``tol`` is an error, never silently clamped.
+    Negativity beyond 1e-9 is an error, never silently clamped.
     """
     w = np.asarray(w, dtype=float)
-    if np.any(w < -tol):
-        raise ValueError(f"eigenvalue {w.min():.3e} below -{tol}: matrix is not PSD")
+    if np.any(w < -1e-9):
+        raise ValueError(f"eigenvalue {w.min():.3e} below -1e-09: matrix is not PSD")
     return np.where(w < 0.0, 0.0, w)

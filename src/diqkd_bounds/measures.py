@@ -16,8 +16,8 @@ import numpy as np
 
 from .devices import CcqState
 from .errors import AlphabetTooLargeError, DimensionMismatchError
-from .linalg import clamp_psd_eigenvalues, hermitian_eig
-from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues
+from .linalg import hermitian_eig
+from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues, von_neumann_entropy
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -31,6 +31,7 @@ DET_CHANNEL_CAP = 50_000
 # iterations.  Past 80 the crawl gains at most a few 1e-5 bit, and the cost of
 # a call would follow the joint rather than the size of Eve's alphabet.
 INTRINSIC_REFINE_ITERS = 80
+_INTRINSIC_RESTARTS = 4  # L-BFGS-B starts per intrinsic-information call
 MAX_EVE_ALPHABET = 16
 
 
@@ -67,14 +68,21 @@ def er_bell_diagonal_closed(lambda_max: float) -> float:
     return 1.0 - binary_entropy(min(lambda_max, 1.0))
 
 
-def mutual_info(p: np.ndarray) -> float:
-    """I(A:B) of a joint distribution table p[a][b], in bits."""
+def _distribution(p: np.ndarray) -> np.ndarray:
+    """``p`` checked to be a finite probability table, then clipped at 0."""
     t = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("distribution contains NaN or Inf entries")
     if t.min() < -1e-12:
         raise ValueError(f"probability {t.min():.3e} below -1e-12")
     if abs(t.sum() - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {t.sum():.9f}, not 1")
-    t = np.clip(t, 0.0, None)
+    return np.clip(t, 0.0, None)
+
+
+def mutual_info(p: np.ndarray) -> float:
+    """I(A:B) of a joint distribution table p[a][b], in bits."""
+    t = _distribution(p)
     h = lambda x: -float(_plogp(x).sum())
     return max(h(t.sum(axis=1)) + h(t.sum(axis=0)) - h(t), 0.0)
 
@@ -87,14 +95,7 @@ def cmi_ccq(c: CcqState) -> float:
     """
     ops = c.eve_ops
     n_a, n_b = ops.shape[:2]
-
-    def block_entropy(blocks) -> float:
-        total = 0.0
-        for op in blocks:
-            w = clamp_psd_eigenvalues(hermitian_eig(op).eigenvalues, tol=1e-9)
-            total += entropy_of_eigenvalues(w)
-        return total
-
+    block_entropy = lambda blocks: sum(von_neumann_entropy(op) for op in blocks)
     s_abe = block_entropy(ops[a, b] for a in range(n_a) for b in range(n_b))
     s_ae = block_entropy(ops[a].sum(axis=0) for a in range(n_a))
     s_be = block_entropy(ops[:, b].sum(axis=0) for b in range(n_b))
@@ -234,22 +235,21 @@ def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
-                   det_cap: int = DET_CHANNEL_CAP, refine: bool = True) -> float:
+def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> float:
     """Best-found intrinsic information min over Eve channels of I(A:B|E').
 
     The search space is stochastic maps from Eve's symbol alphabet to an
     output alphabet of at most the same size.  Strategy: a deterministic
     map's value depends only on the partition of Eve's alphabet it induces,
     so every one of the Bell(|E|) partitions is tried when they fit under
-    ``det_cap`` (through |E| = 9 at the default); otherwise ``det_cap``
-    seeded random maps plus the identity and the |E| constant maps, so the
-    value never exceeds I(A:B).  Then L-BFGS-B with the exact gradient on
-    the stochastic-matrix parametrization, from the ``restarts`` best
-    deterministic maps that split Eve's alphabet differently.  Refinement
-    is skipped when a deterministic map already gives exactly 0.  The
-    result is a certified upper bound on the true minimum and never exceeds
-    the unprocessed I(A:B|E).
+    `DET_CHANNEL_CAP` (through |E| = 9); otherwise `DET_CHANNEL_CAP` seeded
+    random maps plus the identity and the |E| constant maps, so the value
+    never exceeds I(A:B).  Then L-BFGS-B with the exact gradient on the
+    stochastic-matrix parametrization, from the 4 best deterministic maps
+    that split Eve's alphabet differently.  Refinement is skipped when a
+    deterministic map already gives exactly 0.  The result is a certified
+    upper bound on the true minimum and never exceeds the unprocessed
+    I(A:B|E).
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
@@ -258,11 +258,7 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
     p = np.asarray(p_abe, dtype=float)
     if p.ndim != 3:
         raise DimensionMismatchError("p_abe must be indexed [a][b][e]")
-    if p.min() < -1e-12:
-        raise ValueError(f"probability {p.min():.3e} below -1e-12")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {p.sum():.9f}, not 1")
-    p = _reduce_alphabet(np.clip(p, 0.0, None))
+    p = _reduce_alphabet(_distribution(p))
     n_e = p.shape[2]
     if n_e > MAX_EVE_ALPHABET:
         raise AlphabetTooLargeError(f"{n_e} Eve symbols exceed the cap {MAX_EVE_ALPHABET}")
@@ -272,10 +268,10 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
         return best
 
     rng = np.random.default_rng(seed)
-    if _bell(n_e) <= det_cap:
+    if _bell(n_e) <= DET_CHANNEL_CAP:
         maps = _partitions(n_e)
     else:
-        maps = rng.integers(0, n_e, size=(det_cap, n_e))
+        maps = rng.integers(0, n_e, size=(DET_CHANNEL_CAP, n_e))
         maps[0] = np.arange(n_e)  # keep the identity in the pool
         constant = np.repeat(np.arange(n_e)[:, None], n_e, axis=1)
         maps = np.concatenate([maps, constant])  # these give I(A:B)
@@ -288,14 +284,14 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
     # from the best maps that split her alphabet differently.
     starts, seen = [], set()
     for i in np.argsort(det_values, kind="stable"):
-        if len(starts) == restarts:
+        if len(starts) == _INTRINSIC_RESTARTS:
             break
         labels: dict[int, int] = {}
         split = tuple(labels.setdefault(f, len(labels)) for f in maps[i])
         if split not in seen:
             seen.add(split)
             starts.append(maps[i])
-    starts = [starts[i % len(starts)] for i in range(restarts)]
+    starts = [starts[i % len(starts)] for i in range(_INTRINSIC_RESTARTS)]
     objective = _IntrinsicObjective(p)
     for g in starts:
         theta0 = np.zeros((n_e, n_e))
@@ -313,6 +309,7 @@ def intrinsic_info(p_abe: np.ndarray, *, restarts: int = 4, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 SEP_MIX_EPS = 1e-12  # mixed-in identity weight; keeps sigma separable and full rank
+_ER_MAXITER = 400  # L-BFGS-B iterations per er_numeric restart
 
 
 class _ErObjective:
@@ -407,7 +404,7 @@ class _ErObjective:
 
 
 def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
-               seed: int = 0, maxiter: int = 400) -> float:
+               seed: int = 0) -> float:
     """Numerical upper bound on the relative entropy of entanglement.
 
     Minimizes D(rho || sigma) over separable sigma parametrized as a mixture
@@ -441,5 +438,5 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         theta0 = rng.standard_normal(obj.n_params)
         minimize(obj.value_and_grad, theta0, jac=True, method="L-BFGS-B",
-                 options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
+                 options={"maxiter": _ER_MAXITER, "ftol": 1e-14, "gtol": 1e-10})
     return max(obj.best, 0.0)

@@ -80,40 +80,47 @@ class SimplexResult(NamedTuple):
     objective: float
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int):
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    hit = np.abs(tableau[:, col]) > 0.0
+    hit[row] = False
+    tableau[hit] -= np.outer(tableau[hit, col], tableau[row])
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
-                 n_cols: int, max_iter: int, tol: float) -> None:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+                 n_cols: int, max_iter: int) -> None:
     """Minimize cost over the tableau in place (Bland's anti-cycling rule)."""
-    m = tableau.shape[0]
     for _ in range(max_iter):
         # reduced costs: c_j - c_B . B^-1 A_j
         reduced = cost[:n_cols] - cost[basis] @ tableau[:, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(reduced < -PIVOT_TOL)
+        if improving.size == 0:
             return
-        ratios = []
-        for r in range(m):
-            if tableau[r, entering] > tol:
-                ratios.append((tableau[r, -1] / tableau[r, entering], basis[r], r))
-        if not ratios:
+        entering = improving[0]
+        rows = np.flatnonzero(tableau[:, entering] > PIVOT_TOL)
+        if rows.size == 0:
             raise UnboundedError("objective is unbounded along an entering direction")
-        ratios.sort(key=lambda t: (t[0], t[1]))  # Bland: lowest index on ties
-        _pivot(tableau, basis, ratios[0][2], entering)
+        ratios = tableau[rows, -1] / tableau[rows, entering]
+        # Bland: lowest ratio, ties to the lowest basic index
+        _pivot(tableau, basis, rows[np.lexsort((basis[rows], ratios))[0]], entering)
     raise NumericalFailureError(f"simplex exceeded its {max_iter}-iteration cap")
 
 
-def simplex_solve(lp: LinearProgram, tol: float = PIVOT_TOL) -> SimplexResult:
+def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint block as finite float arrays; no rows when ``a`` is None."""
+    if a is None:
+        return np.empty((0, n)), np.empty(0)
+    a, b = np.atleast_2d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    if a.shape != (b.size, n):
+        raise DimensionMismatchError(f"constraint matrix {a.shape} does not match "
+                                     f"{b.size} right-hand sides and {n} variables")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("constraint data contains NaN or Inf entries")
+    return a, b
+
+
+def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Solve a standard-form LP with a dense two-phase tableau simplex.
 
     Returns a primal-feasible solution whose objective is within 1e-8 of the
@@ -123,97 +130,49 @@ def simplex_solve(lp: LinearProgram, tol: float = PIVOT_TOL) -> SimplexResult:
     """
     c = np.asarray(lp.c, dtype=float)
     n = c.size
-    rows = []
-    rhs = []
-    kinds = []  # "ub" or "eq"
-    if lp.a_ub is not None:
-        a_ub = np.atleast_2d(np.asarray(lp.a_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(lp.b_ub, dtype=float))
-        for i in range(a_ub.shape[0]):
-            rows.append(a_ub[i])
-            rhs.append(b_ub[i])
-            kinds.append("ub")
-    if lp.a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(lp.a_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(lp.b_eq, dtype=float))
-        for i in range(a_eq.shape[0]):
-            rows.append(a_eq[i])
-            rhs.append(b_eq[i])
-            kinds.append("eq")
-    if not rows:
+    if not np.all(np.isfinite(c)):
+        raise ValueError("objective contains NaN or Inf entries")
+    (a_ub, b_ub), (a_eq, b_eq) = _rows(lp.a_ub, lp.b_ub, n), _rows(lp.a_eq, lp.b_eq, n)
+    a, b = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
+    m, m_ub = b.size, b_ub.size
+    if m == 0:
         raise ValueError("LP has no constraints")
-    m = len(rows)
-    a = np.array(rows)
-    b = np.array(rhs)
 
-    # slack for <=; flipped <= rows (negative rhs) get surplus + artificial
-    n_slack = sum(1 for k in kinds if k == "ub")
-    slack_cols = {}
-    col = n
-    for i, k in enumerate(kinds):
-        if k == "ub":
-            slack_cols[i] = col
-            col += 1
-    needs_art = []
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = -a[i]
-            b[i] = -b[i]
-            if kinds[i] == "ub":  # became >=: slack coefficient flips sign
-                needs_art.append(i)
-        elif kinds[i] == "eq":
-            needs_art.append(i)
-    for i in range(m):
-        if kinds[i] == "eq" and i not in needs_art:
-            needs_art.append(i)
-    needs_art = sorted(set(needs_art))
-    art_cols = {}
-    for i in needs_art:
-        art_cols[i] = col
-        col += 1
-    n_total = col
-
-    tableau = np.zeros((m, n_total + 1))
-    basis: list[int] = [0] * m
-    for i in range(m):
-        tableau[i, :n] = a[i]
-        tableau[i, -1] = b[i]
-        if i in slack_cols:
-            sign = -1.0 if i in art_cols else 1.0  # flipped rows carry surplus
-            tableau[i, slack_cols[i]] = sign
-        if i in art_cols:
-            tableau[i, art_cols[i]] = 1.0
-            basis[i] = art_cols[i]
-        else:
-            basis[i] = slack_cols[i]
-
+    # Columns: x, one slack per <= row, then an artificial for every == row
+    # and every row negated for its negative rhs (a flipped <= row is >=, so
+    # its slack turns surplus).  Artificials start basic, slacks elsewhere.
+    flip = b < 0
+    needs_art = flip | (np.arange(m) >= m_ub)
+    n_keep = n + m_ub  # columns that outlive phase 1
+    tableau = np.hstack([np.where(flip[:, None], -a, a),
+                         np.diag(np.where(flip, -1.0, 1.0))[:, :m_ub],
+                         np.eye(m)[:, needs_art],
+                         np.where(flip, -b, b)[:, None]])
+    basis = np.where(needs_art, n_keep + np.cumsum(needs_art) - 1, n + np.arange(m))
+    n_total = tableau.shape[1] - 1
     max_iter = 10 * (m + n_total)
 
-    if art_cols:
+    if needs_art.any():
         phase1 = np.zeros(n_total)
-        for j in art_cols.values():
-            phase1[j] = 1.0
-        _run_simplex(tableau, basis, phase1, n_total, max_iter, tol)
-        infeas = sum(tableau[r, -1] for r in range(m) if basis[r] in art_cols.values())
+        phase1[n_keep:] = 1.0
+        _run_simplex(tableau, basis, phase1, n_total, max_iter)
+        art_rows = np.flatnonzero(basis >= n_keep)
+        infeas = tableau[art_rows, -1].sum()
         if infeas > 1e-8:
             raise InfeasibleError(f"phase-1 optimum {infeas:.3e} > 0")
         # pivot remaining artificials out of the basis where possible
-        art_set = set(art_cols.values())
-        for r in range(m):
-            if basis[r] in art_set:
-                for j in range(n_total):
-                    if j not in art_set and abs(tableau[r, j]) > tol:
-                        _pivot(tableau, basis, r, j)
-                        break
-        tableau[:, sorted(art_set)] = 0.0
+        for r in art_rows:
+            cols = np.flatnonzero(np.abs(tableau[r, :n_keep]) > PIVOT_TOL)
+            if cols.size:
+                _pivot(tableau, basis, r, cols[0])
+        tableau[:, n_keep:-1] = 0.0
 
     phase2 = np.zeros(n_total)
     phase2[:n] = -c  # minimize -c.x
-    _run_simplex(tableau, basis, phase2, n_total - len(art_cols), max_iter, tol)
+    _run_simplex(tableau, basis, phase2, n_keep, max_iter)
 
     x = np.zeros(n_total)
-    for r, j in enumerate(basis):
-        x[j] = tableau[r, -1]
+    x[basis] = tableau[:, -1]
     x = x[:n]
     return SimplexResult(x, float(c @ x))
 
@@ -249,10 +208,7 @@ class LocalDecomposition:
 def _vertex_matrix(shape: tuple[int, int, int, int]) -> tuple[list[DeterministicVertex], np.ndarray]:
     """Vertices and the matrix whose column j is vertex j's flattened table."""
     vertices = enumerate_vertices(*shape)
-    d = np.zeros((int(np.prod(shape)), len(vertices)))
-    for j, v in enumerate(vertices):
-        d[:, j] = vertex_table(v, shape).reshape(-1)
-    return vertices, d
+    return vertices, np.stack([vertex_table(v, shape).reshape(-1) for v in vertices], axis=1)
 
 
 def max_local_weight(b: Behavior) -> LocalDecomposition:

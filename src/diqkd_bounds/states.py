@@ -183,9 +183,9 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     Eigenvalue round-off down to -1e-9 is clamped to zero (the input is
     declared PSD); anything more negative raises.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho  # hermitian_eig validates it
     w = hermitian_eig(m).eigenvalues
-    return entropy_of_eigenvalues(clamp_psd_eigenvalues(w, tol=1e-9))
+    return entropy_of_eigenvalues(clamp_psd_eigenvalues(w))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

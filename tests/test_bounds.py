@@ -375,6 +375,15 @@ def test_bound_curve_looks_up_point_function_at_call_time(monkeypatch, name):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("name", sorted(bounds.CURVES))
+def test_omega_axis_past_tsirelson_keeps_nu_nonnegative(name):
+    # the range check lets hi pass 2*sqrt(2) by 1e-12; such a hi is the Tsirelson point
+    over = bound_curve(name, grid=3, hi=2.8284271247465, axis="omega")
+    exact = bound_curve(name, grid=3, hi=TWO_SQRT2, axis="omega")
+    assert min(s.qber for s in over.samples) >= 0.0
+    assert over.samples[-1].value == exact.samples[-1].value
+
+
 @pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "erasure"])
 def test_channel_curve_above_achievable_rate(kind):
     # each bound must stay above the Pironio rate of its Choi device, read at

@@ -178,6 +178,13 @@ def test_unwritable_output_is_one_line_error(tmp_path, capsys, command):
     assert not target.exists()
 
 
+def test_curve_omega_max_rounded_past_tsirelson(capsys):
+    code, out, err = run_cli(capsys, "curve", "al", "--axis", "omega",
+                             "--max", "2.8284271247465", "--grid", "3")
+    assert code == 0 and err == ""
+    assert out.strip().split("\n")[-1].split(",")[2:] == ["0", "1"]
+
+
 def test_device_out_of_range_is_numerical_error(capsys):
     assert run_cli(capsys, "device", "--nu", "1.5")[0] == 1
 

@@ -325,11 +325,23 @@ def test_intrinsic_partition_search_matches_every_map():
         assert abs(intrinsic_info(p, refine=False) - intrinsic_oracle_det(p)) < 1e-15, n_e
 
 
-def test_intrinsic_partitions_never_weaker_than_sampled_maps():
+def test_intrinsic_partitions_never_weaker_than_sampled_maps(monkeypatch):
     p = np.random.default_rng(89).dirichlet(np.ones(28)).reshape(2, 2, 7)
     # Bell(7) = 877 partitions: exhaustive by default, sampled under a cap of 500
-    assert (intrinsic_info(p, refine=False)
-            <= intrinsic_info(p, refine=False, det_cap=500))
+    exhaustive = intrinsic_info(p, refine=False)
+    monkeypatch.setattr(measures, "DET_CHANNEL_CAP", 500)
+    assert exhaustive <= intrinsic_info(p, refine=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("measure, shape", [pytest.param(mutual_info, (2, 2), id="mutual_info"),
+                                            pytest.param(intrinsic_info, (2, 2, 2),
+                                                         id="intrinsic_info")])
+def test_non_finite_joint_is_rejected(measure, shape, bad):
+    p = np.full(shape, 1.0 / math.prod(shape))
+    p.flat[0] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        measure(p)
 
 
 def test_det_channel_values_match_loop_cmi():

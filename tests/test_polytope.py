@@ -132,6 +132,58 @@ def test_simplex_vs_brute_force_twenty_variables():
         assert abs(res.objective - oracle) < 1e-8
 
 
+def random_mixed_lp(rng) -> LinearProgram:
+    """Random LP with up to three <= rows and two == rows, each rhs of either sign."""
+    n = int(rng.integers(1, 6))
+    m_ub, m_eq = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+    if m_ub + m_eq == 0:
+        m_ub = 1
+    c = rng.standard_normal(n)
+    a_ub, b_ub = rng.standard_normal((m_ub, n)), rng.standard_normal(m_ub)
+    a_eq, b_eq = rng.standard_normal((m_eq, n)), rng.standard_normal(m_eq)
+    return LinearProgram(c, *((a_ub, b_ub) if m_ub else (None, None)),
+                         *((a_eq, b_eq) if m_eq else (None, None)))
+
+
+def test_simplex_mixed_rows_match_highs():
+    # <= rows with negative rhs are negated and get a surplus plus an artificial
+    rng = np.random.default_rng(101)
+    statuses = []
+    for i in range(600):
+        lp = random_mixed_lp(rng)
+        ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                      bounds=(0, None), method="highs")
+        try:
+            res = simplex_solve(lp)
+            status = 0
+        except InfeasibleError:
+            status = 2
+        except UnboundedError:
+            status = 3
+        assert status == ref.status, i
+        statuses.append(status)
+        if status == 0:
+            assert abs(res.objective + ref.fun) < 1e-8, i
+            assert res.x.min() >= -1e-8, i
+            if lp.a_ub is not None:
+                assert np.max(lp.a_ub @ res.x - lp.b_ub) <= 1e-8, i
+            if lp.a_eq is not None:
+                assert np.max(np.abs(lp.a_eq @ res.x - lp.b_eq)) <= 1e-8, i
+    assert {0, 2, 3} <= set(statuses)
+
+
+@pytest.mark.parametrize("lp, error", [
+    (LinearProgram(c=np.array([1.0]), a_ub=[[1.0]], b_ub=None), ValueError),
+    (LinearProgram(c=np.array([1.0]), a_ub=[[1.0]], b_ub=[math.nan]), ValueError),
+    (LinearProgram(c=np.array([math.inf]), a_ub=[[1.0]], b_ub=[1.0]), ValueError),
+    (LinearProgram(c=np.ones(2), a_ub=[[1.0, 1.0]], b_ub=[1.0, 5.0]), DimensionMismatchError),
+    (LinearProgram(c=np.ones(2), a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]), DimensionMismatchError),
+], ids=["missing-rhs", "nan-rhs", "inf-objective", "extra-rhs", "extra-column"])
+def test_simplex_rejects_malformed_lp(lp, error):
+    with pytest.raises(error):
+        simplex_solve(lp)
+
+
 def test_max_local_weight_deterministic_is_one():
     t = np.zeros((2, 2, 2, 2))
     t[:, :, 1, 0] = 1.0
