@@ -65,6 +65,11 @@ def _omega(nu: float) -> float:
     return TWO_SQRT2 * (1.0 - nu)
 
 
+def _bell_c(omega: float) -> float:
+    """C = sqrt((omega/2)^2 - 1), 0 below 2: Phi+ weight (1+C)/2 reaches CHSH value omega."""
+    return math.sqrt(max((omega / 2.0) ** 2 - 1.0, 0.0))
+
+
 @dataclass(frozen=True)
 class CurveSample:
     param: float
@@ -121,7 +126,7 @@ def al_bound(nu: float) -> float:
     omega = _omega(nu)
     if omega < 2.0:
         return 0.0
-    c = math.sqrt(max((omega / 2.0) ** 2 - 1.0, 0.0))
+    c = _bell_c(omega)
     p_err = nu / 2.0
     sigma = make_bell_diagonal((1.0 + c) / 2.0, (1.0 - c) / 2.0)
     alice = observable_povm(PAULI_Z)
@@ -292,34 +297,32 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[
     return x, f(x)
 
 
+@functools.cache
+def _fractional_minimizer() -> float:
+    """omega_1* ~ 2.634547, where g(omega_1) = E_R(omega_1) / (omega_1 - 2) is least.
+
+    g has a single minimum on (2, 2*sqrt(2)] (a test checks it on a dense grid).
+    """
+    return _golden_section(lambda w1: er_isotropic_closed(w1) / (w1 - 2.0),
+                           2.0 + 1e-9, TWO_SQRT2)[0]
+
+
 def fractional_er_bound(omega: float) -> float:
     """Fractional relative-entropy bound for the CHSH protocol.
 
-    Minimizes p * E_R(isotropic at omega_1) over omega_1 in (2, 2*sqrt(2)]
+    Minimizes p * E_R(isotropic at omega_1) over omega_1 in [omega, 2*sqrt(2)]
     with the complementary weight placed on a CHSH-value-2 separable device
     (the optimal choice omega_2 = 2 makes p = (omega-2)/(omega_1-2) minimal).
+    The objective is (omega - 2) g(omega_1), so the minimum sits at
+    omega_1 = max(omega, omega_1*), with omega_1* from `_fractional_minimizer`.
     """
     if not 2.0 - 1e-12 <= omega <= TWO_SQRT2 + 1e-12:
         raise ValueError(f"omega={omega} outside [2, 2*sqrt(2)]")
     omega = min(max(omega, 2.0), TWO_SQRT2)
     if omega <= 2.0:
         return 0.0
-
-    def objective(w1: float) -> float:
-        p = (omega - 2.0) / (w1 - 2.0)
-        return p * er_isotropic_closed(w1)
-
-    lo = max(omega, 2.0 + 1e-9)
-    hi = TWO_SQRT2
-    if hi - lo < 1e-12:
-        return min(objective(hi), 1.0)
-    grid = np.linspace(lo, hi, 256)
-    values = [objective(w) for w in grid]
-    j = int(np.argmin(values))
-    a = grid[max(j - 1, 0)]
-    b = grid[min(j + 1, len(grid) - 1)]
-    _, best = _golden_section(objective, a, b)
-    best = min(best, values[j])
+    w1 = max(omega, _fractional_minimizer())
+    best = (omega - 2.0) / (w1 - 2.0) * er_isotropic_closed(w1)
     return float(min(max(best, 0.0), 1.0))
 
 
@@ -328,7 +331,7 @@ def pironio_er_bound(omega: float) -> float:
     if not 2.0 - 1e-12 <= omega <= TWO_SQRT2 + 1e-12:
         raise ValueError(f"omega={omega} outside [2, 2*sqrt(2)]")
     omega = min(max(omega, 2.0), TWO_SQRT2)
-    c = math.sqrt(max((omega / 2.0) ** 2 - 1.0, 0.0))
+    c = _bell_c(omega)
     return er_bell_diagonal_closed((1.0 + c) / 2.0)
 
 
@@ -425,7 +428,7 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     omega_star = (1.0 - p) * TWO_SQRT2
     if omega_star < 2.0 - 1e-12:
         raise NoViolationError(f"omega* = {omega_star:.6f} < 2 at p = {p}")
-    c = math.sqrt(max((omega_star / 2.0) ** 2 - 1.0, 0.0))
+    c = _bell_c(omega_star)
     q = min(max((1.0 - c) / 2.0, 0.0), 1.0)
 
     # target device: channel on Bob's half of Phi+, honest measurements

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadSettingError, DimensionMismatchError
-from .linalg import hermiticity_defect, kron
+from .linalg import kron, psd_eigenvalues
 from .states import (
     DensityMatrix,
     PAULI_I,
@@ -26,6 +26,7 @@ from .states import (
 )
 
 POVM_TOL = 1e-9
+EVE_HERMITICITY_TOL = 1e-8  # per ccq Eve operator, Frobenius norm of A - A^dag
 NEGATIVE_CLAMP = 1e-12
 
 #: Eve post-processing: anything mapping a (subnormalized) operator to another
@@ -58,18 +59,29 @@ def noisy_key_povm(p_err: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_povm(elements: Sequence[np.ndarray], dim: int, label: str):
-    total = np.zeros((dim, dim), dtype=complex)
-    for e in elements:
-        e = np.asarray(e, dtype=complex)
-        if e.shape != (dim, dim):
-            raise DimensionMismatchError(f"{label}: element is {e.shape}, expected {(dim, dim)}")
-        if hermiticity_defect(e) > POVM_TOL:
-            raise ValueError(f"{label}: POVM element not Hermitian")
-        if np.linalg.eigvalsh((e + e.conj().T) / 2.0).min() < -POVM_TOL:
-            raise ValueError(f"{label}: POVM element not PSD within {POVM_TOL}")
-        total = total + e
-    if np.linalg.norm(total - np.eye(dim)) > POVM_TOL:
+    shapes = {e.shape for e in elements}
+    if shapes != {(dim, dim)}:
+        raise DimensionMismatchError(f"{label}: elements are {sorted(shapes)}, not {(dim, dim)}")
+    elements = np.stack(elements)
+    psd_eigenvalues(elements, what=f"{label}: POVM element")
+    if np.linalg.norm(elements.sum(axis=0) - np.eye(dim)) > POVM_TOL:
         raise ValueError(f"{label}: POVM elements do not sum to identity")
+
+
+def _probabilities(p, what: str, axis=None) -> np.ndarray:
+    """``p`` as a float array, checked to be a probability table.
+
+    Entries must be finite and at least -1e-12 (kept as given), and sum to 1
+    within 1e-9 over ``axis`` (every entry by default).
+    """
+    t = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"{what} contains NaN or Inf entries: not a probability distribution")
+    off = np.max(np.abs(t.sum(axis=axis) - 1.0))
+    if t.min() < -NEGATIVE_CLAMP or off > 1e-9:
+        raise ValueError(f"{what} is not a probability distribution: least entry {t.min():.3e}"
+                         f" (-{NEGATIVE_CLAMP} allowed), sum off 1 by {off:.3e} (1e-9 allowed)")
+    return t
 
 
 @dataclass(frozen=True)
@@ -123,13 +135,7 @@ class Behavior:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 4:
             raise DimensionMismatchError("behavior table must be indexed [x][y][a][b]")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("behavior table contains NaN or Inf entries")
-        if t.min() < -NEGATIVE_CLAMP:
-            raise ValueError(f"probability {t.min():.3e} below -{NEGATIVE_CLAMP}")
-        sums = t.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("some (x, y) slice does not sum to 1 within 1e-9")
+        t = _probabilities(t, "behavior slice p(a, b | x, y)", axis=(2, 3))
         # no-signaling: Alice's marginal independent of y, and symmetrically
         a_marg = t.sum(axis=3)
         if np.max(np.abs(a_marg - a_marg[:, :1, :])) > 1e-9:
@@ -170,13 +176,7 @@ class CcqState:
         traces = np.einsum("abkk->ab", ops).real
         if abs(traces.sum() - 1.0) > 1e-9:
             raise ValueError(f"Eve operator traces sum to {traces.sum():.9f}, not 1")
-        for a in range(ops.shape[0]):
-            for b in range(ops.shape[1]):
-                op = ops[a, b]
-                if hermiticity_defect(op) > 1e-8:
-                    raise ValueError(f"Eve operator ({a},{b}) is not Hermitian")
-                if np.linalg.eigvalsh((op + op.conj().T) / 2.0).min() < -1e-9:
-                    raise ValueError(f"Eve operator ({a},{b}) is not PSD within 1e-9")
+        psd_eigenvalues(ops, EVE_HERMITICITY_TOL, "Eve operator")
         ops = ops.copy()
         ops.flags.writeable = False
         object.__setattr__(self, "eve_ops", ops)
@@ -321,9 +321,7 @@ def _input_distribution(family: MeasurementFamily, p_xy: np.ndarray) -> np.ndarr
     p = np.asarray(p_xy, dtype=float)
     if p.shape != (family.x_count, family.y_count):
         raise DimensionMismatchError(f"p_xy must have shape {(family.x_count, family.y_count)}")
-    if not np.all(np.isfinite(p)) or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p_xy is not a probability distribution")
-    return p
+    return _probabilities(p, "p_xy")
 
 
 def _setting_ccqs(state: DensityMatrix, family: MeasurementFamily,

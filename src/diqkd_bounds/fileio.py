@@ -16,12 +16,13 @@ Both grammars are documented in the README.
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
 
 from .devices import Behavior
-from .states import DensityMatrix
+from .states import DensityMatrix, _factor_dims
 
 
 def behavior_to_dict(b: Behavior) -> dict:
@@ -43,7 +44,7 @@ def _fields(doc, keys: tuple[str, ...], kind: str) -> list:
 def behavior_from_dict(doc: dict) -> Behavior:
     *counts, p = _fields(doc, ("x_count", "y_count", "a_count", "b_count", "p"), "behavior")
     try:
-        expected = tuple(int(n) for n in counts)
+        expected = tuple(operator.index(n) for n in counts)
         table = np.asarray(p, dtype=float)
     except TypeError as exc:
         raise ValueError(f"malformed behavior document: {exc}") from exc
@@ -69,7 +70,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 def state_from_dict(doc: dict) -> DensityMatrix:
     dims, entries = _fields(doc, ("dims", "entries"), "state")
     try:
-        dims = tuple(int(d) for d in dims)
+        dims = _factor_dims(operator.index(d) for d in dims)
         total = int(np.prod(dims))
         if len(entries) != total * total:
             raise ValueError(f"expected {total * total} entries, got {len(entries)}")

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 
 HERMITICITY_TOL = 1e-9
+PSD_TOL = 1e-9  # eigenvalues in [-PSD_TOL, 0) are round-off of a PSD matrix
 
 
 class Spectrum(NamedTuple):
@@ -37,12 +38,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part."""
-    a = np.asarray(a)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def kron(*factors) -> np.ndarray:
     """Tensor (Kronecker) product of one or more matrices.
 
@@ -57,6 +52,40 @@ def kron(*factors) -> np.ndarray:
     return out
 
 
+def _first(what: str, bad: np.ndarray) -> str:
+    """``what`` and, for a stack, the index of its first matrix flagged in ``bad``."""
+    index = tuple(np.argwhere(bad)[0].tolist())
+    return f"{what} {index}" if index else what
+
+
+def _hermitian_part(a, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
+    """(a + a^dag) / 2 of one matrix or of each matrix in a stack (..., n, n).
+
+    Raises ValueError on NaN or Inf entries, `DimensionMismatchError` when the
+    matrices are not square, and `NotHermitianError` when the Frobenius norm
+    of a - a^dag exceeds ``tol`` for any of them.
+    """
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatchError(f"{what} is {m.shape}, not square")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    adjoint = m.swapaxes(-1, -2).conj()
+    defect = np.linalg.norm(m - adjoint, axis=(-2, -1))
+    bad = defect > tol
+    if np.any(bad):
+        raise NotHermitianError(f"{_first(what, bad)} has Hermiticity defect "
+                                f"{defect[bad][0]:.3e} beyond {tol}")
+    return (m + adjoint) / 2.0
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK safeguard
+        raise NoConvergenceError(str(exc)) from exc
+
+
 def hermitian_eig(a) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -67,19 +96,30 @@ def hermitian_eig(a) -> Spectrum:
     NoConvergenceError
         If the underlying LAPACK iteration fails to converge.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"matrix is {m.shape}, not square")
-    if hermiticity_defect(m) > HERMITICITY_TOL:
-        raise NotHermitianError(
-            f"Hermiticity defect {hermiticity_defect(m):.3e} exceeds {HERMITICITY_TOL}"
-        )
-    try:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK safeguard
-        raise NoConvergenceError(str(exc)) from exc
+    h = _hermitian_part(a)
+    if h.ndim != 2:
+        raise DimensionMismatchError(f"expected a matrix, got ndim={h.ndim}")
+    w, v = _eigh(h)
     order = np.argsort(w)[::-1]
     return Spectrum(np.real(w[order]).copy(), v[:, order].copy())
+
+
+def psd_eigenvalues(a, hermitian_tol: float = HERMITICITY_TOL,
+                    what: str = "matrix") -> np.ndarray:
+    """Descending eigenvalues of one PSD matrix, or of each matrix in a stack.
+
+    The input is checked by `_hermitian_part` within ``hermitian_tol``.  Round-off
+    down to -`PSD_TOL` is returned as 0; anything more negative raises ValueError.
+    ``np.linalg.eigh`` gives the values, as in `hermitian_eig` (``eigvalsh``
+    runs another LAPACK path, which rounds differently in the last bits).
+    """
+    w = _eigh(_hermitian_part(a, hermitian_tol, what))[0][..., ::-1]
+    least = w[..., -1]
+    low = least < -PSD_TOL
+    if np.any(low):
+        raise ValueError(f"{_first(what, low)} has eigenvalue {least[low][0]:.3e} "
+                         f"below -{PSD_TOL}: not PSD")
+    return np.where(w < 0.0, 0.0, w)
 
 
 def _trace_indices(n_factors: int, keep: Sequence[int]) -> tuple[str, str]:
@@ -129,14 +169,3 @@ def partial_trace(a, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     reduced = np.einsum(subscripts + "->" + out, tensor)
     kept = int(np.prod([dims[k] for k in keep]))
     return reduced.reshape(kept, kept)
-
-
-def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative eigenvalues of a matrix declared PSD by the caller.
-
-    Negativity beyond 1e-9 is an error, never silently clamped.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w < -1e-9):
-        raise ValueError(f"eigenvalue {w.min():.3e} below -1e-09: matrix is not PSD")
-    return np.where(w < 0.0, 0.0, w)

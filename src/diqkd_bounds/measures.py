@@ -14,10 +14,10 @@ import math
 
 import numpy as np
 
-from .devices import CcqState
+from .devices import EVE_HERMITICITY_TOL, CcqState, _probabilities
 from .errors import AlphabetTooLargeError, DimensionMismatchError
-from .linalg import hermitian_eig
-from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues, von_neumann_entropy
+from .linalg import psd_eigenvalues
+from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -68,21 +68,17 @@ def er_bell_diagonal_closed(lambda_max: float) -> float:
     return 1.0 - binary_entropy(min(lambda_max, 1.0))
 
 
-def _distribution(p: np.ndarray) -> np.ndarray:
-    """``p`` checked to be a finite probability table, then clipped at 0."""
+def _distribution(p: np.ndarray, indices: str) -> np.ndarray:
+    """``p`` checked to be a probability table indexed ``indices``, then clipped at 0."""
     t = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("distribution contains NaN or Inf entries")
-    if t.min() < -1e-12:
-        raise ValueError(f"probability {t.min():.3e} below -1e-12")
-    if abs(t.sum() - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {t.sum():.9f}, not 1")
-    return np.clip(t, 0.0, None)
+    if t.ndim != len(indices):
+        raise DimensionMismatchError(f"joint distribution must be indexed [{']['.join(indices)}]")
+    return np.clip(_probabilities(t, "joint distribution"), 0.0, None)
 
 
 def mutual_info(p: np.ndarray) -> float:
     """I(A:B) of a joint distribution table p[a][b], in bits."""
-    t = _distribution(p)
+    t = _distribution(p, "ab")
     h = lambda x: -float(_plogp(x).sum())
     return max(h(t.sum(axis=1)) + h(t.sum(axis=0)) - h(t), 0.0)
 
@@ -94,12 +90,17 @@ def cmi_ccq(c: CcqState) -> float:
     Eve blocks because A and B are classical registers.
     """
     ops = c.eve_ops
-    n_a, n_b = ops.shape[:2]
-    block_entropy = lambda blocks: sum(von_neumann_entropy(op) for op in blocks)
-    s_abe = block_entropy(ops[a, b] for a in range(n_a) for b in range(n_b))
-    s_ae = block_entropy(ops[a].sum(axis=0) for a in range(n_a))
-    s_be = block_entropy(ops[:, b].sum(axis=0) for b in range(n_b))
-    s_e = block_entropy([ops.sum(axis=(0, 1))])
+    n_a, n_b, d, _ = ops.shape
+    blocks = np.concatenate([ops.reshape(-1, d, d), ops.sum(axis=1), ops.sum(axis=0),
+                             ops.sum(axis=(0, 1))[None]])
+    # CcqState holds each block Hermitian within EVE_HERMITICITY_TOL, so a sum
+    # of n_a * n_b of them is within n_a * n_b times that
+    w = psd_eigenvalues(blocks, n_a * n_b * EVE_HERMITICITY_TOL, "ccq block")
+    # one np.dot per block over its support, as in von_neumann_entropy: a dot
+    # over zero-padded rows rounds differently once a block has 16 eigenvalues
+    h = [entropy_of_eigenvalues(row) for row in w]
+    ae, be = n_a * n_b, n_a * n_b + n_a  # where the AE and the BE blocks start
+    s_abe, s_ae, s_be, s_e = sum(h[:ae]), sum(h[ae:be]), sum(h[be:-1]), sum(h[-1:])
     value = s_ae + s_be - s_abe - s_e
     if value < -1e-9:
         raise ValueError(f"conditional mutual information {value:.3e} below -1e-9")
@@ -255,10 +256,7 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     that drops zero-weight symbols and merges symbols with identical
     conditional distributions.
     """
-    p = np.asarray(p_abe, dtype=float)
-    if p.ndim != 3:
-        raise DimensionMismatchError("p_abe must be indexed [a][b][e]")
-    p = _reduce_alphabet(_distribution(p))
+    p = _reduce_alphabet(_distribution(p_abe, "abe"))
     n_e = p.shape[2]
     if n_e > MAX_EVE_ALPHABET:
         raise AlphabetTooLargeError(f"{n_e} Eve symbols exceed the cap {MAX_EVE_ALPHABET}")
@@ -326,8 +324,7 @@ class _ErObjective:
         self.d = self.da * self.db
         self.k = k
         self.rho = rho.matrix
-        w = np.clip(hermitian_eig(self.rho).eigenvalues, 0.0, None)
-        self.neg_entropy = -entropy_of_eigenvalues(w)  # sum lam log2 lam
+        self.neg_entropy = -entropy_of_eigenvalues(psd_eigenvalues(self.rho))  # sum lam log2 lam
         self.best = math.inf
 
     @property

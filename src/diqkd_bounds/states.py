@@ -12,14 +12,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import (
-    as_matrix,
-    clamp_psd_eigenvalues,
-    hermitian_eig,
-    hermiticity_defect,
-    kron,
-    partial_trace,
-)
+from .linalg import as_matrix, hermitian_eig, kron, partial_trace, psd_eigenvalues
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,6 +24,14 @@ KET_PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2)
 
 STATE_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-12  # eigenvalues below this count as outside the support
+
+
+def _factor_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints, each at least 1."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise DimensionMismatchError(f"tensor factor dimensions {dims} must be at least 1")
+    return dims
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
@@ -46,18 +47,14 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
+        m = np.asarray(self.matrix, dtype=complex)
+        dims = _factor_dims(self.dims)
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise DimensionMismatchError(f"matrix is {m.shape}, dims {dims} imply {total}")
-        if hermiticity_defect(m) > STATE_TOL:
-            raise ValueError(f"density matrix not Hermitian within {STATE_TOL}")
+        psd_eigenvalues(m, what="density matrix")
         if abs(np.trace(m).real - 1.0) > STATE_TOL or abs(np.trace(m).imag) > STATE_TOL:
             raise ValueError(f"trace {np.trace(m):.6g} differs from 1 beyond {STATE_TOL}")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w.min() < -STATE_TOL:
-            raise ValueError(f"eigenvalue {w.min():.3e} below -{STATE_TOL}: not PSD")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -83,7 +80,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _factor_dims(self.dims)
         if v.size != int(np.prod(dims)):
             raise DimensionMismatchError(f"vector of length {v.size}, dims {dims}")
         if abs(np.linalg.norm(v) - 1.0) > 1e-10:
@@ -183,9 +180,8 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     Eigenvalue round-off down to -1e-9 is clamped to zero (the input is
     declared PSD); anything more negative raises.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else rho  # hermitian_eig validates it
-    w = hermitian_eig(m).eigenvalues
-    return entropy_of_eigenvalues(clamp_psd_eigenvalues(w))
+    m = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
+    return entropy_of_eigenvalues(psd_eigenvalues(m))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -197,7 +193,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
-    w_r = np.clip(hermitian_eig(rho.matrix).eigenvalues, 0.0, None)
+    w_r = psd_eigenvalues(rho.matrix)
     spec_s = hermitian_eig(sigma.matrix)
     w_s = np.clip(spec_s.eigenvalues, 0.0, None)
     # weight of rho on each eigenvector of sigma

@@ -287,6 +287,35 @@ def test_fractional_below_isotropic_closed_form():
         assert fractional_er_bound(float(omega)) <= er_isotropic_closed(float(omega)) + 1e-9
 
 
+def _fractional_ratio(w1: float) -> float:
+    return er_isotropic_closed(w1) / (w1 - 2.0)
+
+
+def test_fractional_ratio_has_a_single_minimum():
+    # fractional_er_bound rests on this: E_R(w1) / (w1 - 2) falls, then rises
+    w1 = np.linspace(2.0 + 1e-6, TWO_SQRT2, 20001)
+    steps = np.sign(np.diff([_fractional_ratio(float(w)) for w in w1]))
+    turns = np.flatnonzero(steps[1:] != steps[:-1])
+    assert np.all(steps != 0)
+    assert len(turns) == 1 and steps[0] < 0 < steps[-1]
+    assert abs(w1[turns[0] + 1] - 2.634547) < 1e-4
+
+
+def test_fractional_matches_bounded_scalar_minimization():
+    from scipy.optimize import minimize_scalar
+
+    omegas = np.concatenate([np.linspace(2.0, TWO_SQRT2, 101)[1:-1],
+                             2.634547 + np.array([-1e-3, -1e-6, 0.0, 1e-6, 1e-3])])
+    for omega in map(float, omegas):
+        f = lambda w1: (omega - 2.0) * _fractional_ratio(w1)
+        res = minimize_scalar(f, bounds=(omega, TWO_SQRT2), method="bounded",
+                              options={"xatol": 1e-10})
+        oracle = min(res.fun, f(omega), f(TWO_SQRT2))
+        value = fractional_er_bound(omega)
+        assert abs(value - oracle) < 1e-9, omega
+        assert value <= oracle + 1e-12, omega
+
+
 def test_fractional_out_of_range():
     with pytest.raises(ValueError):
         fractional_er_bound(1.5)

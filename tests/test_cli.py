@@ -225,3 +225,23 @@ def test_malformed_input_file_is_one_line_error(tmp_path, capsys, command, text)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_state_file_with_negative_dims_is_rejected(tmp_path, capsys):
+    # prod([-2, -2]) = 4 matches the 16 entries
+    path = tmp_path / "state.json"
+    entries = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+    path.write_text(json.dumps({"dims": [-2, -2], "entries": entries}))
+    code, out, err = run_cli(capsys, "er", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: tensor factor dimensions (-2, -2) must be at least 1\n"
+
+
+@pytest.mark.parametrize("field", ["x_count", "b_count"])
+def test_behavior_counts_must_be_integers(field):
+    doc = {"x_count": 2, "y_count": 2, "a_count": 2, "b_count": 2,
+           "p": [[[[0.25] * 2] * 2] * 2] * 2}
+    doc[field] = 2.7  # int() would truncate it to 2, which matches p
+    with pytest.raises(ValueError, match="malformed behavior document"):
+        behavior_from_dict(doc)

@@ -6,6 +6,7 @@ import pytest
 from diqkd_bounds import (
     BadSettingError,
     Behavior,
+    CcqState,
     DensityMatrix,
     DimensionMismatchError,
     assemble_ccq,
@@ -246,6 +247,36 @@ def test_setting_distribution_rejects_nan():
     p_xy[1, 1] = math.nan
     with pytest.raises(ValueError, match="not a probability distribution"):
         broadcast_ccq(state, fam, p_xy)
+
+
+def _uniform_eve_ops() -> np.ndarray:
+    return np.tile(np.eye(2, dtype=complex) / 8, (2, 2, 1, 1))
+
+
+@pytest.mark.parametrize("defect", ["not-hermitian", "not-psd", "nan"])
+def test_ccq_state_rejects_a_single_bad_block(defect):
+    ops = _uniform_eve_ops()
+    if defect == "not-hermitian":
+        ops[1, 0, 0, 1] += 1e-7  # beyond the 1e-8 Hermiticity tolerance
+    elif defect == "not-psd":
+        ops[1, 0] = np.diag([0.25 + 1e-6, -1e-6])  # same trace, eigenvalue -1e-6
+    else:
+        ops[1, 0, 0, 1] = math.nan  # off the diagonal, so the traces stay finite
+    with pytest.raises(ValueError, match=r"Eve operator|NaN or Inf"):
+        CcqState(ops)
+    if defect != "nan":
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            CcqState(ops)
+
+
+def test_ccq_state_keeps_its_tolerances():
+    ops = _uniform_eve_ops()
+    ops[0, 1, 0, 1] += 5e-9  # Hermiticity defect 7e-9 < 1e-8
+    ops[1, 1] = np.diag([0.25 + 5e-10, -5e-10])  # eigenvalue -5e-10 > -1e-9
+    ccq = CcqState(ops)
+    assert ccq.eve_ops.shape == (2, 2, 2, 2)
+    # the summed AE, BE and E blocks carry the 7e-9 defect too; cmi_ccq accepts them
+    assert 0.0 <= cmi_ccq(ccq) <= 1.0
 
 
 def _random_basis_povm(rng, d):

@@ -8,6 +8,7 @@ from diqkd_bounds import (
     kron,
     partial_trace,
 )
+from diqkd_bounds.linalg import PSD_TOL, psd_eigenvalues
 from diqkd_bounds.states import KET_PHI_PLUS, PAULI_X, PAULI_Z, projector
 
 I2 = np.eye(2)
@@ -103,6 +104,67 @@ def test_eig_rejects_non_hermitian():
 def test_eig_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3)))
+
+
+def _psd_stack(rng, count, dim):
+    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def test_psd_eigenvalues_match_hermitian_eig_bitwise():
+    # one batched call gives each matrix the values hermitian_eig gives it alone
+    rng = np.random.default_rng(19)
+    for dim in (1, 2, 3, 4, 8, 17):
+        stack = _psd_stack(rng, 6, dim)
+        stack[1] = projector(rng.standard_normal(dim))  # rank one: round-off near 0
+        w = psd_eigenvalues(stack)
+        assert w.shape == (6, dim)
+        for m, row in zip(stack, w):
+            expected = hermitian_eig(m).eigenvalues
+            assert np.array_equal(row, np.where(expected < 0.0, 0.0, expected))
+
+
+def test_psd_eigenvalues_single_matrix_descending():
+    w = psd_eigenvalues(np.diag([0.1, 0.6, 0.3]))
+    assert w.shape == (3,)
+    assert np.allclose(w, [0.6, 0.3, 0.1])
+
+
+def test_psd_eigenvalues_rejects_one_non_hermitian_matrix_in_stack():
+    stack = _psd_stack(np.random.default_rng(23), 5, 3)
+    stack[3, 0, 2] += 1e-6  # defect 1e-6 in one matrix only
+    with pytest.raises(NotHermitianError, match=r"block \(3,\)"):
+        psd_eigenvalues(stack, what="block")
+    # the tolerance is the caller's
+    assert psd_eigenvalues(stack, hermitian_tol=1e-5).shape == (5, 3)
+
+
+def test_psd_eigenvalues_rejects_negative_eigenvalue_in_stack():
+    stack = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, -2 * PSD_TOL]), np.eye(2) / 2])
+    with pytest.raises(ValueError, match=rf"block \(1,\) has eigenvalue .* below -{PSD_TOL}"):
+        psd_eigenvalues(stack, what="block")
+
+
+def test_psd_eigenvalues_clamps_round_off_to_zero():
+    stack = np.stack([np.diag([1.0, -PSD_TOL / 2]), np.diag([0.25, 0.75])])
+    w = psd_eigenvalues(stack)
+    assert np.array_equal(w, [[1.0, 0.0], [0.75, 0.25]])
+    assert not np.signbit(w).any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+def test_psd_eigenvalues_rejects_non_finite_entry(bad):
+    stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    stack[1, 1, 0] = bad  # NaN passes every comparison of the later checks
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        psd_eigenvalues(stack)
+
+
+def test_psd_eigenvalues_rejects_non_square_stack():
+    with pytest.raises(DimensionMismatchError):
+        psd_eigenvalues(np.zeros((3, 2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        psd_eigenvalues(np.zeros(4))
 
 
 def test_partial_trace_bell_marginal():

@@ -13,13 +13,16 @@ from diqkd_bounds import (
     AlphabetTooLargeError,
     CcqState,
     DensityMatrix,
+    DimensionMismatchError,
     assemble_ccq,
     bound_curve,
+    broadcast_ccq,
     channel_curve,
     cmi_ccq,
     er_bell_diagonal_closed,
     er_isotropic_closed,
     er_numeric,
+    honest_chsh_device,
     hull_curve,
     intrinsic_info,
     kron,
@@ -162,9 +165,11 @@ def cmi_oracle(ccq: CcqState) -> float:
     rho = DensityMatrix(full, tuple(dims))
 
     def s(keep):
+        # eigvalsh directly: von_neumann_entropy shares cmi_ccq's eigenvalue kernel
         reduced = partial_trace(full, dims, keep)
-        reduced = reduced / np.trace(reduced).real
-        return von_neumann_entropy(DensityMatrix(reduced, tuple(dims[k] for k in keep)))
+        w = np.linalg.eigvalsh(reduced / np.trace(reduced).real)
+        w = w[w > 1e-12]
+        return -float(np.sum(w * np.log2(w)))
 
     return s([0, 2]) + s([1, 2]) - s([0, 1, 2]) - s([2])
 
@@ -196,6 +201,23 @@ def test_cmi_matches_full_density_matrix_oracle():
         fam = random_projective_family(rng, 1, 1)
         ccq = assemble_ccq(rho, (fam.alice[0], fam.bob[0]))
         assert abs(cmi_ccq(ccq) - cmi_oracle(ccq)) < 1e-9
+
+
+def test_cmi_is_bitwise_the_sum_of_block_entropies():
+    # one batched spectrum of all blocks gives what one entropy per block gives,
+    # summed in block order; the broadcast blocks hold 24 eigenvalues
+    state, fam = honest_chsh_device(0.1)
+    sigma = make_bell_diagonal(0.9, 0.1)
+    for ccq in (broadcast_ccq(state, fam, np.full((3, 2), 1 / 6)),
+                assemble_ccq(sigma, (observable_povm(PAULI_Z), noisy_key_povm(0.05)))):
+        ops = ccq.eve_ops
+        n_a, n_b = ops.shape[:2]
+        s = lambda blocks: sum(von_neumann_entropy(op) for op in blocks)
+        expected = (s(ops[a].sum(axis=0) for a in range(n_a))
+                    + s(ops[:, b].sum(axis=0) for b in range(n_b))
+                    - s(ops[a, b] for a in range(n_a) for b in range(n_b))
+                    - s([ops.sum(axis=(0, 1))]))
+        assert cmi_ccq(ccq) == max(expected, 0.0)
 
 
 def test_cmi_fixed_strategy_mixture_is_exactly_affine():
@@ -342,6 +364,13 @@ def test_non_finite_joint_is_rejected(measure, shape, bad):
     p.flat[0] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
         measure(p)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4,)])
+def test_mutual_info_rejects_tables_not_indexed_ab(shape):
+    # at ndim 3 the sums over axes 0 and 1 would pass for marginals
+    with pytest.raises(DimensionMismatchError):
+        mutual_info(np.full(shape, 1.0 / math.prod(shape)))
 
 
 def test_det_channel_values_match_loop_cmi():

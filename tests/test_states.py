@@ -5,6 +5,8 @@ import pytest
 
 from diqkd_bounds import (
     DensityMatrix,
+    DimensionMismatchError,
+    PureState,
     QubitChannel,
     apply_channel,
     binary_entropy,
@@ -29,6 +31,15 @@ from util import random_density
 def test_isotropic_endpoints():
     assert np.allclose(make_isotropic(0.0).matrix, projector(KET_PHI_PLUS))
     assert np.allclose(make_isotropic(1.0).matrix, np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (2, -1, -2)])
+def test_states_reject_nonpositive_dims(dims):
+    # prod(dims) matches the data, so only the factor check can catch these
+    with pytest.raises(DimensionMismatchError, match="at least 1"):
+        DensityMatrix(np.eye(4) / 4, dims)
+    with pytest.raises(DimensionMismatchError, match="at least 1"):
+        PureState(np.full(4, 0.5), dims)
 
 
 def test_isotropic_half_eigenvalues():
