@@ -23,7 +23,6 @@ from .devices import (
     MeasurementFamily,
     _input_distribution,
     _setting_ccqs,
-    assemble_ccq,
     behavior_from,
     chsh_value,
     honest_chsh_device,
@@ -41,7 +40,6 @@ from .measures import (
     cmi_ccq,
     er_bell_diagonal_closed,
     er_isotropic_closed,
-    intrinsic_info,
 )
 from .polytope import LocalDecomposition, max_local_weight_with_residual
 from .states import (
@@ -52,8 +50,12 @@ from .states import (
     QubitChannel,
     apply_channel,
     binary_entropy,
-    make_bell_diagonal,
 )
+
+# No bound here calls these two any more, but the benchmark's tracer
+# (bench/spans.py) wraps them as attributes of this module.
+from .devices import assemble_ccq
+from .measures import intrinsic_info
 
 NU_STAR = 1.0 - 1.0 / math.sqrt(2.0)  # isotropic noise where the CHSH violation dies
 
@@ -118,8 +120,14 @@ def al_bound(nu: float) -> float:
     The eavesdropper prepares the Bell mixture with Phi+ weight (1+C)/2,
     C = sqrt((omega/2)^2 - 1), matching the observed CHSH value
     omega = 2*sqrt(2)*(1-nu); Bob's key measurement outputs a random bit with
-    probability 2*P_err (P_err = nu/2).  Eve keeps the untouched purifier, so
-    the value is I(A:B|E) of that ccq state.  Zero when omega < 2.
+    probability 2p (p = nu/2).  Eve keeps the untouched purifier, so the
+    value is I(A:B|E) of that ccq state.  Alice's Z outcome is a uniform bit,
+    Eve's two conditional states are pure with overlap C, and Bob's readout
+    is a binary symmetric channel independent of Eve given A, so
+    I(A:B|E) = 1 - h((1+C)/2) - h(p) + h(lambda) with
+    lambda = (1 + sqrt(1 - 4p(1-p)(1-C^2)))/2.  Zero when omega < 2.  The
+    ccq state (`assemble_ccq`) is the attack's witness; the tests rebuild it
+    to cross-check this closed form.
     """
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu={nu} outside [0, 1]")
@@ -127,11 +135,10 @@ def al_bound(nu: float) -> float:
     if omega < 2.0:
         return 0.0
     c = _bell_c(omega)
-    p_err = nu / 2.0
-    sigma = make_bell_diagonal((1.0 + c) / 2.0, (1.0 - c) / 2.0)
-    alice = observable_povm(PAULI_Z)
-    bob = noisy_key_povm(p_err)
-    return cmi_ccq(assemble_ccq(sigma, (alice, bob)))
+    p = nu / 2.0
+    lam = (1.0 + math.sqrt(1.0 - 4.0 * p * (1.0 - p) * (1.0 - c * c))) / 2.0
+    return max(1.0 - binary_entropy((1.0 + c) / 2.0) - binary_entropy(p)
+               + binary_entropy(lam), 0.0)
 
 
 @functools.cache
@@ -206,38 +213,39 @@ def fbjl_bound(nu: float) -> float:
     Tsirelson-point behavior of the same measurements), so every round Eve
     hands out is realizable by a quantum device.  The optimal local weight
     is q_L = nu / nu* up to the frontier nu* = 1 - 1/sqrt(2) and 1 beyond
-    it.  The linear program runs once per process, at the anchors nu* (and
-    1, for nu > nu*); every other nu mixes their weights, since the honest
-    behavior is affine in nu.  Eve's symbol is the vertex's key-setting
-    outcome pair on local rounds and "?" on quantum rounds.  At nu = 0 every
-    round is quantum and the value is one bit.
+    it.  Eve's symbol is the vertex's key-setting outcome pair on local
+    rounds and "?" on quantum rounds.  At nu = 0 every round is quantum and
+    the value is one bit.
 
     The value is the intrinsic information of the key-setting distribution
-    p(a, b, e), evaluated without refinement:
+    p(a, b, e), taken in closed form.  "?" has mass c = (1 - nu/nu*)/2 on
+    (0,0) and on (1,1); the anti-correlated local symbols have mass
+    beta = nu/4 on (0,1) and on (1,0).
 
-    - "?" has mass c on (0,0) and on (1,1); the anti-correlated local symbols
-      have mass beta on (0,1) and on (1,0).  Once c <= beta, that is
-      nu >= nu0 = 2 nu* / (2 + nu*) ~ 0.25548 (omega ~ 2.1058, QBER ~ 12.77%),
-      Eve's channel that sends "?" and a fraction c / beta of each
-      anti-correlated symbol to one output, and keeps every other symbol as
-      its own output, leaves a rank-one slice in every output, so the value
-      is exactly 0.
-    - Below nu0 it is the best deterministic map, i.e. the best set
-      partition of Eve's alphabet.  Gradient refinement over stochastic
-      channels never went below it on this joint (a 399-point grid, and
-      hundreds of random starts at single points), so it is not run.
+    - Once c <= beta, that is nu >= nu0 = 2 nu* / (2 + nu*) ~ 0.25548
+      (omega ~ 2.1058, QBER ~ 12.77%), Eve's channel that sends "?" and a
+      fraction c / beta of each anti-correlated symbol to one output, and
+      keeps every other symbol as its own output, leaves a rank-one slice in
+      every output, so the value is exactly 0.
+    - Below nu0 Eve merges "?" with both anti-correlated symbols.  The
+      merged output holds c on (0,0) and (1,1) and beta on (0,1) and (1,0),
+      so it carries 2(c + beta)(1 - h(c / (c + beta))) bit, and every other
+      output is a point mass that carries nothing.  That merge is the best set
+      partition of Eve's alphabet, and gradient refinement over stochastic
+      channels never went below it (a 399-point grid, and hundreds of random
+      starts at single points).
+
+    `_fbjl_joint` builds p(a, b, e) from the LP decomposition: it is the
+    attack's witness, and the tests check this formula against its partition
+    search and against the explicit merge channel.
     """
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu={nu} outside [0, 1]")
-    p_abe = _fbjl_joint(nu)
-    # c and beta are read from the joint's masses ("?" is the last symbol,
-    # every other one a point mass); should the two diagonal cells of "?"
-    # differ, moving their geometric mean (at most c) still gives rank one
-    c = max(p_abe[0, 0, -1], p_abe[1, 1, -1])
-    beta = min(p_abe[0, 1, :-1].sum(), p_abe[1, 0, :-1].sum())
+    c = (1.0 - nu / NU_STAR) / 2.0
+    beta = nu / 4.0
     if c <= beta:
         return 0.0
-    return intrinsic_info(p_abe, refine=False)
+    return 2.0 * (c + beta) * (1.0 - binary_entropy(c / (c + beta)))
 
 
 def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:

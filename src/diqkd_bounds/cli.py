@@ -10,6 +10,7 @@ and ignores it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -79,6 +80,7 @@ def _report_doc(report: SimulationReport) -> dict:
     }
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diqkd-bounds",

@@ -113,12 +113,24 @@ def psd_eigenvalues(a, hermitian_tol: float = HERMITICITY_TOL,
     ``np.linalg.eigh`` gives the values, as in `hermitian_eig` (``eigvalsh``
     runs another LAPACK path, which rounds differently in the last bits).
     """
+    return summed_psd_eigenvalues(a, 1, hermitian_tol, what)
+
+
+def summed_psd_eigenvalues(a, parts, hermitian_tol: float = HERMITICITY_TOL,
+                           what: str = "matrix") -> np.ndarray:
+    """`psd_eigenvalues` of matrices that are each a sum of ``parts`` PSD matrices.
+
+    ``parts`` is one count or one per matrix of the stack.  By Weyl's
+    inequality a sum of k matrices whose eigenvalues reach -`PSD_TOL` has
+    eigenvalues down to -k `PSD_TOL`, so that is the floor for such a sum.
+    """
     w = _eigh(_hermitian_part(a, hermitian_tol, what))[0][..., ::-1]
     least = w[..., -1]
-    low = least < -PSD_TOL
+    floor = np.broadcast_to(PSD_TOL * np.asarray(parts), least.shape)
+    low = least < -floor
     if np.any(low):
         raise ValueError(f"{_first(what, low)} has eigenvalue {least[low][0]:.3e} "
-                         f"below -{PSD_TOL}: not PSD")
+                         f"below -{float(floor[low][0])}: not PSD")
     return np.where(w < 0.0, 0.0, w)
 
 

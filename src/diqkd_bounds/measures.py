@@ -16,7 +16,7 @@ import numpy as np
 
 from .devices import EVE_HERMITICITY_TOL, CcqState, _probabilities
 from .errors import AlphabetTooLargeError, DimensionMismatchError
-from .linalg import psd_eigenvalues
+from .linalg import psd_eigenvalues, summed_psd_eigenvalues
 from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -94,8 +94,10 @@ def cmi_ccq(c: CcqState) -> float:
     blocks = np.concatenate([ops.reshape(-1, d, d), ops.sum(axis=1), ops.sum(axis=0),
                              ops.sum(axis=(0, 1))[None]])
     # CcqState holds each block Hermitian within EVE_HERMITICITY_TOL, so a sum
-    # of n_a * n_b of them is within n_a * n_b times that
-    w = psd_eigenvalues(blocks, n_a * n_b * EVE_HERMITICITY_TOL, "ccq block")
+    # of n_a * n_b of them is within n_a * n_b times that; the PSD floor of
+    # each summed block scales with its number of parts
+    parts = np.repeat([1, n_b, n_a, n_a * n_b], [n_a * n_b, n_a, n_b, 1])
+    w = summed_psd_eigenvalues(blocks, parts, n_a * n_b * EVE_HERMITICITY_TOL, "ccq block")
     # one np.dot per block over its support, as in von_neumann_entropy: a dot
     # over zero-padded rows rounds differently once a block has 16 eigenvalues
     h = [entropy_of_eigenvalues(row) for row in w]

@@ -12,6 +12,7 @@ from diqkd_bounds import (
     NoViolationError,
     NU_STAR,
     al_bound,
+    assemble_ccq,
     behavior_from,
     bound_curve,
     cc_sq_multi,
@@ -28,13 +29,14 @@ from diqkd_bounds import (
     intrinsic_nonlocality_upper,
     make_bell_diagonal,
     max_local_weight_with_residual,
+    noisy_key_povm,
     observable_povm,
     pironio_er_bound,
 )
 from diqkd_bounds import bounds, polytope
 from diqkd_bounds.measures import TWO_SQRT2, intrinsic_info
 from diqkd_bounds.states import PAULI_Z, projector
-from util import loop_cmi
+from util import loop_ccq_cmi, loop_cmi
 
 H = lambda x: 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
@@ -133,13 +135,77 @@ def test_fbjl_positive_below_nu0():
 
 
 def test_fbjl_refinement_gains_nothing_below_nu0():
-    # fbjl takes the best set partition without gradient refinement; this
-    # checks that refinement would not have found a lower value
+    # fbjl's closed form is the best set partition without gradient
+    # refinement; this checks that refinement would not have found a lower value
     for nu in np.linspace(0.0, NU0, 33, endpoint=False):
         p = bounds._fbjl_joint(float(nu))
         unrefined = intrinsic_info(p, refine=False)
         assert intrinsic_info(p, refine=True) >= unrefined - 1e-12, nu
-        assert fbjl_bound(float(nu)) == unrefined
+        value = fbjl_bound(float(nu))
+        assert abs(value - unrefined) <= 1e-9, nu
+        assert value <= unrefined + 1e-12, nu
+
+
+# --- closed forms against the attack pipelines -----------------------------------
+
+REFERENCE_GRIDS = (16, 64, 257, 1001)
+
+
+def al_pipeline(nu):
+    """al's attack built out: the Bell mixture reaching the device's CHSH
+    value, Z against the noisy key readout, Eve holding the purifier."""
+    omega = TWO_SQRT2 * (1.0 - nu)
+    if omega < 2.0:
+        return 0.0
+    c = math.sqrt(max((omega / 2.0) ** 2 - 1.0, 0.0))
+    sigma = make_bell_diagonal((1.0 + c) / 2.0, (1.0 - c) / 2.0)
+    ccq = assemble_ccq(sigma, (observable_povm(PAULI_Z), noisy_key_povm(nu / 2.0)))
+    return max(loop_ccq_cmi(ccq.eve_ops), 0.0)
+
+
+def fbjl_pipeline(nu):
+    """fbjl's attack built out: the anchored LP decomposition, its joint, and
+    then the zero-key channel or the best set partition."""
+    p = bounds._fbjl_joint(nu)
+    return 0.0 if zero_key_channel(p) is not None else intrinsic_info(p, refine=False)
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+@pytest.mark.parametrize("closed, pipeline", [pytest.param(al_bound, al_pipeline, id="al"),
+                                              pytest.param(fbjl_bound, fbjl_pipeline, id="fbjl")])
+def test_closed_form_matches_attack_pipeline(closed, pipeline, grid):
+    for nu in np.linspace(0.0, NU_STAR, grid):
+        nu = float(nu)
+        value, built = closed(nu), pipeline(nu)
+        assert abs(value - built) <= 1e-9, nu
+        assert value <= built + 1e-12, nu  # never a weaker bound than the attack gives
+
+
+def merge_channel(p):
+    """Eve's merge on an fbjl joint, read from its masses alone: "?" (the one
+    symbol spread over more than one cell) and every anti-correlated point
+    mass go to the output of "?"; every other symbol keeps its own output."""
+    n_e = p.shape[2]
+    w = np.eye(n_e)
+    spread = [e for e in range(n_e) if np.count_nonzero(p[:, :, e]) > 1]
+    if not spread:
+        return w
+    (e_q,) = spread
+    for e in range(n_e):
+        if e != e_q and p[0, 1, e] + p[1, 0, e] > 0.0:
+            w[e, e] = 0.0
+            w[e, e_q] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_fbjl_closed_form_is_the_merge_channel_below_nu0(grid):
+    nus = np.linspace(0.0, NU_STAR, grid)
+    for nu in nus[nus < NU0]:
+        nu = float(nu)
+        p = bounds._fbjl_joint(nu)
+        q = np.einsum("abe,ef->abf", p, merge_channel(p))
+        assert abs(loop_cmi(q) - fbjl_bound(nu)) <= 1e-12, nu
 
 
 def test_fbjl_anchored_decomposition_reconstructs_device():
@@ -208,11 +274,12 @@ def test_fbjl_curve_solves_lp_only_at_anchors(monkeypatch):
     bounds._tsirelson_behavior.cache_clear()
     bounds._fbjl_anchor.cache_clear()
     bound_curve("fbjl", grid=64)
+    bound_curve("fbjl", grid=64, lo=0.0, hi=1.0)
+    assert len(calls) == 0  # the closed form solves no LP
+    bounds._fbjl_joint(0.1)  # the witness: one LP, at the nu* anchor
     assert len(calls) == 1
-    calls.clear()
-    bounds._fbjl_anchor.cache_clear()
-    bound_curve("fbjl", grid=64, lo=0.0, hi=1.0)  # past nu*: the nu = 1 anchor too
-    assert len(calls) <= 2
+    bounds._fbjl_joint(0.2)
+    assert len(calls) == 1
 
 
 # --- convex hull ---------------------------------------------------------------

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diqkd_bounds
 from diqkd_bounds import make_isotropic, save_state
-from diqkd_bounds.cli import main
+from diqkd_bounds.cli import build_parser, main
 from diqkd_bounds.fileio import behavior_from_dict, save_behavior
 from diqkd_bounds import behavior_from, chsh_value, honest_chsh_device
 
@@ -114,6 +119,23 @@ def test_curve_hull_is_below_inputs(capsys):
     _, al_out, _ = run_cli(capsys, "curve", "al", "--grid", "4")
     al_vals = [float(line.split(",")[3]) for line in al_out.strip().split("\n")[1:]]
     assert all(h <= a + 1e-12 for h, a in zip(hull_vals, al_vals))
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; parsing must leave it as it was
+    sequence = [("curve", "hull", "--grid", "5"),
+                ("curve", "al", "--grid", "five"),  # usage error: exit 2
+                ("device", "--nu", "0.1", "--format", "csv"),
+                ("curve", "hull", "--grid", "5")]
+    src = str(Path(diqkd_bounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = [subprocess.run([sys.executable, "-m", "diqkd_bounds.cli", *argv],
+                            capture_output=True, text=True, env=env)
+             for argv in sequence]
+    build_parser.cache_clear()
+    for argv, proc in zip(sequence, fresh):
+        assert run_cli(capsys, *argv)[:2] == (proc.returncode, proc.stdout), argv
+    assert [proc.returncode for proc in fresh] == [0, 2, 0, 0]
 
 
 def test_output_file(tmp_path, capsys):

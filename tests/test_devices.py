@@ -279,6 +279,15 @@ def test_ccq_state_keeps_its_tolerances():
     assert 0.0 <= cmi_ccq(ccq) <= 1.0
 
 
+def test_cmi_ccq_floors_summed_blocks_by_their_parts():
+    # each (0, b) block reaches -9e-10, inside CcqState's -1e-9 floor; their
+    # AE sum reaches -1.8e-9, inside the -2e-9 that Weyl's inequality allows
+    ops = np.zeros((2, 2, 2, 2), dtype=complex)
+    ops[0, :] = np.diag([0.25 + 9e-10, -9e-10])
+    ops[1, :] = np.diag([0.25, 0.0])
+    assert 0.0 <= cmi_ccq(CcqState(ops)) <= 1e-12
+
+
 def _random_basis_povm(rng, d):
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     v = np.linalg.eigh(h + h.conj().T)[1]

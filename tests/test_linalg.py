@@ -8,7 +8,7 @@ from diqkd_bounds import (
     kron,
     partial_trace,
 )
-from diqkd_bounds.linalg import PSD_TOL, psd_eigenvalues
+from diqkd_bounds.linalg import PSD_TOL, psd_eigenvalues, summed_psd_eigenvalues
 from diqkd_bounds.states import KET_PHI_PLUS, PAULI_X, PAULI_Z, projector
 
 I2 = np.eye(2)
@@ -150,6 +150,14 @@ def test_psd_eigenvalues_clamps_round_off_to_zero():
     w = psd_eigenvalues(stack)
     assert np.array_equal(w, [[1.0, 0.0], [0.75, 0.25]])
     assert not np.signbit(w).any()
+
+
+def test_summed_psd_eigenvalues_floor_scales_with_parts():
+    stack = np.stack([np.diag([1.0, -1.5 * PSD_TOL]), np.diag([1.0, -2.5 * PSD_TOL])])
+    w = summed_psd_eigenvalues(stack, [2, 3])
+    assert np.array_equal(w, [[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=rf"block \(1,\) has eigenvalue .* below -{2 * PSD_TOL}"):
+        summed_psd_eigenvalues(stack, [2, 2], what="block")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])

@@ -22,6 +22,21 @@ def loop_cmi(q: np.ndarray) -> float:
     return h_af + h_bf - h_abf - h_f
 
 
+def loop_ccq_cmi(ops: np.ndarray) -> float:
+    """I(A:B|E) of a ccq state from its Eve blocks ops[a][b], by explicit loops
+    over the blocks and their sums, with spectra from np.linalg.eigvalsh."""
+    n_a, n_b = ops.shape[:2]
+
+    def s(m):
+        return -sum(v * math.log2(v) for v in np.linalg.eigvalsh(m) if v > 0)
+
+    s_abe = sum(s(ops[a, b]) for a in range(n_a) for b in range(n_b))
+    s_ae = sum(s(sum(ops[a, b] for b in range(n_b))) for a in range(n_a))
+    s_be = sum(s(sum(ops[a, b] for a in range(n_a))) for b in range(n_b))
+    s_e = s(sum(ops[a, b] for a in range(n_a) for b in range(n_b)))
+    return s_ae + s_be - s_abe - s_e
+
+
 def random_density(rng, dims) -> DensityMatrix:
     """Wishart-style random full-rank density matrix."""
     d = int(np.prod(dims))
