@@ -13,7 +13,8 @@ import csv
 import pathlib
 import sys
 
-from diqkd_bounds import bound_curve, convex_hull_bound
+from diqkd_bounds import bound_curve
+from diqkd_bounds.bounds import _hull_bridge
 
 OUT = pathlib.Path(__file__).resolve().parent
 
@@ -30,9 +31,7 @@ def main():
     grid = int(sys.argv[1]) if len(sys.argv) > 1 else 33
     print(f"sampling bound curves on a {grid}-point isotropic-noise grid")
     curves = {name: bound_curve(name, grid=grid) for name in
-              ("al", "fbjl", "fractional", "pironio")}
-    hull = convex_hull_bound(curves["al"], curves["fbjl"])
-    curves["hull"] = hull.curve
+              ("al", "fbjl", "hull", "fractional", "pironio")}
 
     for name, curve in curves.items():
         path = OUT / f"curve_{name}.csv"
@@ -47,7 +46,9 @@ def main():
                ("al", "fbjl", "hull", "fractional", "pironio")]
         print(f"  {s.param:.4f}  {s.omega:.4f}  " + "  ".join(f"{v:.5f}" for v in row))
 
-    print("\nthe hull supports sit at grid indices:", hull.support_indices)
+    nu_a, nu_b = _hull_bridge()
+    print(f"\nthe hull is al up to nu = {nu_a:.6f} and fbjl from nu = {nu_b:.6f},"
+          " with the mix of the two attacks in between")
     print("note: al is the tighter attack at low noise, while fbjl (local rounds")
     print("mixed with the noiseless quantum device) takes over near the frontier")
     print("and hits zero before the CHSH violation disappears; the hull bridges them.")

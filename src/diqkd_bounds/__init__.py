@@ -11,7 +11,6 @@ from .bounds import (
     NU_STAR,
     BoundCurve,
     CurveSample,
-    HullResult,
     SimulationReport,
     al_bound,
     bound_curve,
@@ -22,7 +21,7 @@ from .bounds import (
     dephasing_simulation,
     fbjl_bound,
     fractional_er_bound,
-    hull_curve,
+    hull_bound,
     intrinsic_nonlocality_upper,
     pironio_er_bound,
 )

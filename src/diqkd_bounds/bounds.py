@@ -105,15 +105,6 @@ class BoundCurve:
         return np.array([s.value for s in self.samples])
 
 
-@dataclass(frozen=True)
-class HullResult:
-    """Lower convex envelope of the pointwise minimum of two curves."""
-
-    input_names: tuple[str, str]
-    curve: BoundCurve
-    support_indices: tuple[int, ...]
-
-
 def al_bound(nu: float) -> float:
     """Explicit quantum-attack bound: Bell-diagonal state, noisy key readout.
 
@@ -264,7 +255,7 @@ def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return hull
 
 
-def convex_hull_bound(c1: BoundCurve, c2: BoundCurve) -> HullResult:
+def convex_hull_bound(c1: BoundCurve, c2: BoundCurve) -> BoundCurve:
     """Lower convex envelope of the pointwise minimum of two bound curves.
 
     Both curves must share the same parameter grid.  Mixing devices along
@@ -282,9 +273,7 @@ def convex_hull_bound(c1: BoundCurve, c2: BoundCurve) -> HullResult:
         CurveSample(s.param, s.omega, s.qber, max(float(v), 0.0))
         for s, v in zip(c1.samples, hull_vals)
     )
-    name = f"hull({c1.name},{c2.name})"
-    return HullResult((c1.name, c2.name), BoundCurve(name, c1.axis, samples),
-                      tuple(support))
+    return BoundCurve(f"hull({c1.name},{c2.name})", c1.axis, samples)
 
 
 def _golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -303,6 +292,40 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[
             fd = f(d)
     x = (a + b) / 2.0
     return x, f(x)
+
+
+@functools.cache
+def _hull_bridge() -> tuple[float, float]:
+    """(nu_a, nu_b) ~ (0.147582, 0.204449), where al and fbjl touch their common tangent.
+
+    Both are convex on [0, nu*] (a test checks it), so the lowest line of slope
+    s touches each at the minimum of f(nu) - s nu.  al's lies below fbjl's at
+    slopes steeper than the tangent's: bisection on s in [-10, -1] finds it.
+    """
+    lo, hi = -10.0, -1.0
+    while hi - lo > 1e-12:
+        s = (lo + hi) / 2.0
+        nu_a, g_a = _golden_section(lambda nu: al_bound(nu) - s * nu, 0.0, NU_STAR)
+        nu_b, g_b = _golden_section(lambda nu: fbjl_bound(nu) - s * nu, 0.0, NU_STAR)
+        lo, hi = (s, hi) if g_a < g_b else (lo, s)
+    return nu_a, nu_b
+
+
+def hull_bound(nu: float) -> float:
+    """Lower convex envelope of the al and fbjl bounds: al up to nu_a, fbjl from nu_b.
+
+    In between (`_hull_bridge`) it mixes the two attacks at nu_a and nu_b, itself
+    an attack, so an inexact bridge costs tightness but never validity.
+    """
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError(f"nu={nu} outside [0, 1]")
+    nu_a, nu_b = _hull_bridge()
+    if nu <= nu_a:
+        return al_bound(nu)
+    if nu >= nu_b:
+        return fbjl_bound(nu)
+    t = (nu - nu_a) / (nu_b - nu_a)
+    return (1.0 - t) * al_bound(nu_a) + t * fbjl_bound(nu_b)
 
 
 @functools.cache
@@ -509,6 +532,7 @@ def cc_sq_multi(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarra
 CURVES: dict[str, Callable[[float], float]] = {
     "al": lambda nu: al_bound(nu),
     "fbjl": lambda nu: fbjl_bound(nu),
+    "hull": lambda nu: hull_bound(nu),
     "fractional": lambda nu: fractional_er_bound(_omega(nu)) if _omega(nu) >= 2.0 else 0.0,
     "pironio": lambda nu: pironio_er_bound(_omega(nu)) if _omega(nu) >= 2.0 else 0.0,
 }
@@ -551,14 +575,6 @@ def bound_curve(name: str, grid: int = 64, lo: float | None = None,
         samples.append(CurveSample(float(param), _omega(nu), nu / 2.0,
                                    float(max(point(nu), 0.0))))
     return BoundCurve(name, axis, tuple(samples))
-
-
-def hull_curve(grid: int = 64, lo: float | None = None, hi: float | None = None,
-               axis: str = "nu") -> HullResult:
-    """Convex hull of the explicit-attack bounds on a shared grid."""
-    al = bound_curve("al", grid, lo, hi, axis)
-    fb = bound_curve("fbjl", grid, lo, hi, axis)
-    return convex_hull_bound(al, fb)
 
 
 def channel_curve(kind: ChannelKind, grid: int = 64, p_min: float = 0.0,

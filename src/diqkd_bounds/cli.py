@@ -23,7 +23,6 @@ from .bounds import (
     bound_curve,
     channel_curve,
     dephasing_simulation,
-    hull_curve,
 )
 from .devices import behavior_from, honest_chsh_device
 from .measures import er_numeric
@@ -89,10 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("curve", help="sample a named bound curve")
-    names = list(CURVES)
-    names.insert(names.index("fbjl") + 1, "hull")  # right after the two curves it joins
     curve.set_defaults(run=_run_curve)
-    curve.add_argument("name", choices=[*names, "channel"])
+    curve.add_argument("name", choices=[*CURVES, "channel"])
     curve.add_argument("--grid", type=int, default=64)
     curve.add_argument("--axis", choices=["nu", "omega"], default="nu")
     curve.add_argument("--min", type=float, default=None, dest="lo")
@@ -143,9 +140,6 @@ def _run_curve(args) -> str:
             raise SystemExit("error: curve channel requires --kind")
         curve = channel_curve(args.kind, grid=args.grid, p_min=args.p_min,
                               p_max=args.p_max)
-    elif args.name == "hull":
-        curve = hull_curve(grid=args.grid, lo=args.lo, hi=args.hi,
-                           axis=args.axis).curve
     else:
         curve = bound_curve(args.name, grid=args.grid, lo=args.lo, hi=args.hi,
                             axis=args.axis)

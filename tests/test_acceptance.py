@@ -105,8 +105,8 @@ def test_criterion_4a_hull_inequalities():
     al, fb = curves["al"], curves["fbjl"]
     hull = convex_hull_bound(al, fb)
     mins = np.minimum(al.values, fb.values)
-    gap = float(np.max(hull.curve.values - mins))
-    second = float(np.min(np.diff(hull.curve.values, 2)))
+    gap = float(np.max(hull.values - mins))
+    second = float(np.min(np.diff(hull.values, 2)))
     elapsed = curves["elapsed"]
     ok = gap <= 1e-12 and second >= -1e-9 and elapsed < 300.0
     report("4a", ok, f"hull <= min (slack {gap:.1e}), second diffs >= {second:.1e}, "

@@ -25,7 +25,7 @@ from diqkd_bounds import (
     fbjl_bound,
     fractional_er_bound,
     honest_chsh_device,
-    hull_curve,
+    hull_bound,
     intrinsic_nonlocality_upper,
     make_bell_diagonal,
     max_local_weight_with_residual,
@@ -295,7 +295,7 @@ def test_hull_of_convex_curve_is_itself():
     values = [((x - 0.5) ** 2) for x in np.linspace(0, 1, 11)]
     c = make_curve("parabola", values)
     hull = convex_hull_bound(c, c)
-    assert np.allclose(hull.curve.values, values, atol=1e-12)
+    assert np.allclose(hull.values, values, atol=1e-12)
 
 
 def test_hull_constant_against_v_shape():
@@ -303,8 +303,7 @@ def test_hull_constant_against_v_shape():
     flat = [1.0] * 11
     hull = convex_hull_bound(make_curve("flat", flat), make_curve("v", v_shape))
     # envelope is the V itself (already convex and below the constant)
-    assert np.allclose(hull.curve.values, v_shape, atol=1e-12)
-    assert hull.support_indices[0] == 0 and hull.support_indices[-1] == 10
+    assert np.allclose(hull.values, v_shape, atol=1e-12)
 
 
 def test_hull_dips_below_pointwise_min():
@@ -312,8 +311,8 @@ def test_hull_dips_below_pointwise_min():
     flat = [1.0] * 5
     hull = convex_hull_bound(make_curve("flat", flat), make_curve("zig", zigzag))
     mins = np.minimum(flat, zigzag)
-    assert np.all(hull.curve.values <= mins + 1e-12)
-    assert hull.curve.values[2] < mins[2] - 0.1  # strictly below at the bump
+    assert np.all(hull.values <= mins + 1e-12)
+    assert hull.values[2] < mins[2] - 0.1  # strictly below at the bump
 
 
 def test_hull_grid_mismatch():
@@ -321,18 +320,56 @@ def test_hull_grid_mismatch():
         convex_hull_bound(make_curve("a", [1, 1, 1]), make_curve("b", [1, 1, 1, 1]))
 
 
-def test_hull_curve_invariants_on_attack_bounds():
-    hull = hull_curve(grid=24)
-    al = bound_curve("al", grid=24)
-    fb = bound_curve("fbjl", grid=24)
-    mins = np.minimum(al.values, fb.values)
-    assert np.all(hull.curve.values <= mins + 1e-12)
-    second = np.diff(hull.curve.values, 2)
-    assert second.min() >= -1e-9
+def test_attack_bounds_convex_below_frontier():
+    # the bridge bisection's precondition: a line of each slope touches once
+    for name in ("al", "fbjl"):
+        values = bound_curve(name, grid=10_001).values
+        assert np.diff(values, 2).min() >= -1e-12, name
+
+
+def test_hull_bridge_is_the_common_tangent():
+    nu_a, nu_b = bounds._hull_bridge()
+    y_a, y_b = al_bound(nu_a), fbjl_bound(nu_b)
+    nus = np.append(np.linspace(0.0, 1.0, 10_001), [nu_a, nu_b])
+    line = y_a + (y_b - y_a) / (nu_b - nu_a) * (nus - nu_a)
+    for f in (al_bound, fbjl_bound):
+        assert np.all(line <= np.array([f(float(nu)) for nu in nus]) + 1e-12), f.__name__
+    assert (hull_bound(nu_a), hull_bound(nu_b)) == (y_a, y_b)
+
+
+def test_hull_bound_is_convex_and_between_floor_and_attacks():
+    hull = bound_curve("hull", grid=10_001, lo=0.0, hi=1.0)
+    nus = hull.params
+    assert np.array_equal(hull.values, [hull_bound(float(nu)) for nu in nus])
+    mins = np.minimum([al_bound(float(nu)) for nu in nus], [fbjl_bound(float(nu)) for nu in nus])
+    assert np.all(hull.values <= mins + 1e-12)
     # every upper bound must stay above the achievable rate
-    floor = np.array([pironio_rate(float(nu)) for nu in al.params])
-    for curve in (al, fb, hull.curve):
-        assert np.all(curve.values >= floor - 1e-9), curve.name
+    assert np.all(hull.values >= np.array([pironio_rate(float(nu)) for nu in nus]) - 1e-9)
+    assert np.diff(hull.values, 2).min() >= -1e-12
+
+
+def test_hull_bound_out_of_range():
+    for nu in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError):
+            hull_bound(nu)
+
+
+@pytest.mark.parametrize("kwargs", [
+    *(pytest.param({"grid": g}, id=f"nu{g}") for g in (4, 16, 17, 64, 257, 1001)),
+    *(pytest.param({"grid": g, "axis": "omega"}, id=f"omega{g}") for g in (17, 33)),
+    *(pytest.param({"grid": 64, "lo": lo, "hi": hi}, id=f"nu{lo}-{hi}")
+      for lo, hi in ((0.1, 0.25), (0.15, 0.2), (0.0, 1.0))),
+])
+def test_hull_curve_is_the_grid_hull_outside_the_bridge(kwargs):
+    # the exact envelope never lies above the hull of the sampled attacks,
+    # and equals it wherever the envelope is one of the two attacks
+    exact = bound_curve("hull", **kwargs)
+    sampled = convex_hull_bound(bound_curve("al", **kwargs), bound_curve("fbjl", **kwargs))
+    nu_a, nu_b = bounds._hull_bridge()
+    for s, g in zip(exact.samples, sampled.samples, strict=True):
+        assert s.value <= g.value + 1e-12, s.param
+        if not nu_a < 2.0 * s.qber < nu_b:  # qber = nu/2 exactly
+            assert s.value == g.value, s.param
 
 
 # --- relative-entropy bounds ----------------------------------------------------
@@ -453,12 +490,12 @@ def test_curve_generators_monotone():
     assert np.all(np.diff(curve.values) <= 1e-6)
 
 
-@pytest.mark.parametrize("name", ["al", "fbjl", "fractional", "pironio"])
+@pytest.mark.parametrize("name", ["al", "fbjl", "hull", "fractional", "pironio"])
 def test_bound_curve_looks_up_point_function_at_call_time(monkeypatch, name):
     # wrappers installed on the module attribute (span tracing, counting)
     # must see every sample, so CURVES may not hold the function objects
-    target = {"al": "al_bound", "fbjl": "fbjl_bound", "fractional": "fractional_er_bound",
-              "pironio": "pironio_er_bound"}[name]
+    target = {"al": "al_bound", "fbjl": "fbjl_bound", "hull": "hull_bound",
+              "fractional": "fractional_er_bound", "pironio": "pironio_er_bound"}[name]
     original = getattr(bounds, target)
     calls = []
 

@@ -23,7 +23,6 @@ from diqkd_bounds import (
     er_isotropic_closed,
     er_numeric,
     honest_chsh_device,
-    hull_curve,
     intrinsic_info,
     kron,
     make_bell_diagonal,
@@ -462,8 +461,7 @@ def test_committed_demo_curves_reproduce(name):
     if name.startswith("channel_"):
         curve, csv = channel_curve(name.removeprefix("channel_"), grid=21), f"{name}.csv"
     else:
-        curve = hull_curve(grid=17).curve if name == "hull" else bound_curve(name, grid=17)
-        csv = f"curve_{name}.csv"
+        curve, csv = bound_curve(name, grid=17), f"curve_{name}.csv"
     rows = (DEMOS / csv).read_text().splitlines()[1:]
     assert len(rows) == len(curve.samples)
     for row, s in zip(rows, curve.samples):
