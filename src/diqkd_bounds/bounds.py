@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -409,14 +409,13 @@ class SimulationReport:
     qber_dephasing: float
     chsh_deviation: float
     qber_deviation: float
+    chsh_match: bool = field(init=False)
+    qber_match: bool = field(init=False)
 
-    @property
-    def chsh_match(self) -> bool:
-        return self.chsh_deviation <= 1e-9
-
-    @property
-    def qber_match(self) -> bool:
-        return self.qber_deviation <= 1e-9
+    def __post_init__(self):
+        # derived once from the deviations; frozen, hence object.__setattr__
+        object.__setattr__(self, "chsh_match", bool(self.chsh_deviation <= 1e-9))
+        object.__setattr__(self, "qber_match", bool(self.qber_deviation <= 1e-9))
 
 
 def _erasure_extended(povm: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:

@@ -10,6 +10,7 @@ and ignores it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -64,19 +65,16 @@ def _curve_json(curve: BoundCurve) -> str:
 
 
 def _report_doc(report: SimulationReport) -> dict:
-    return {
-        "kind": report.kind,
-        "p": float(_fmt(report.p)),
-        "dephasing_noise": float(_fmt(report.dephasing_noise)),
-        "omega_target": float(_fmt(report.omega_target)),
-        "omega_dephasing": float(_fmt(report.omega_dephasing)),
-        "qber_target": float(_fmt(report.qber_target)),
-        "qber_dephasing": float(_fmt(report.qber_dephasing)),
-        "chsh_deviation": float(_fmt(report.chsh_deviation)),
-        "qber_deviation": float(_fmt(report.qber_deviation)),
-        "chsh_match": report.chsh_match,
-        "qber_match": report.qber_match,
-    }
+    """Every field of the report in declaration order, floats at 12 digits."""
+    doc = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, float):
+            value = float(_fmt(value))
+        elif not isinstance(value, (bool, str)):
+            raise TypeError(f"report field {f.name} holds a {type(value).__name__}")
+        doc[f.name] = value
+    return doc
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged

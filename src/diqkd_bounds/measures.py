@@ -24,6 +24,8 @@ LN2 = math.log(2.0)
 
 # Largest pool of deterministic Eve maps searched exhaustively, counted in set
 # partitions of her alphabet: Bell(9) = 21,147 fits, Bell(10) = 115,975 does not.
+# The whole pool is screened through a table over the 2^|E| subsets of Eve's
+# alphabet; only a shortlist is re-scored exactly with `_det_channel_values`.
 DET_CHANNEL_CAP = 50_000
 # L-BFGS-B iterations per intrinsic-information restart.  A run whose channel
 # heads for the simplex boundary crawls there (rows = theta**2 flattens the
@@ -33,6 +35,9 @@ DET_CHANNEL_CAP = 50_000
 INTRINSIC_REFINE_ITERS = 80
 _INTRINSIC_RESTARTS = 4  # L-BFGS-B starts per intrinsic-information call
 MAX_EVE_ALPHABET = 16
+# The subset table and `_det_channel_values` differ by a few 1e-15 (rounding),
+# so every map screened within this of the cut is re-scored exactly.
+_SCREEN_MARGIN = 1e-9
 
 
 def minimize(*args, **kwargs):
@@ -211,6 +216,15 @@ def _partitions(n: int) -> np.ndarray:
     return rows
 
 
+def _map_chunk(p: np.ndarray) -> int:
+    """Rows per block in the map search: ~2M array elements of one-hot channels.
+
+    The screen takes blocks of the same number of maps and of subsets, whose
+    temporaries are smaller still.
+    """
+    return max(1, 2_000_000 // (p.size * p.shape[2] + 1))
+
+
 def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """I(A:B|F), clipped at 0, after each deterministic map in ``maps`` (one row per map).
 
@@ -225,7 +239,7 @@ def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     def ent(t):  # entropy of each joint in a block
         return -_plogp(t).reshape(len(t), -1).sum(axis=1)
 
-    chunk = max(1, 2_000_000 // (p.size * n_e + 1))
+    chunk = _map_chunk(p)
     for start in range(0, len(maps), chunk):
         block = maps[start:start + chunk]
         one_hot = (block[:, :, None] == outputs).astype(float)
@@ -238,6 +252,85 @@ def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
+def _subset_cmi_table(p: np.ndarray) -> np.ndarray:
+    """phi(S) for every subset S of Eve's alphabet, indexed by bitmask.
+
+    q_S(a,b) is the mass of the symbols in S merged into one, and phi(S) =
+    sum_ab plogp(q_S) + plogp(sum q_S) - sum_a plogp(q_S(a,.)) - sum_b
+    plogp(q_S(.,b)) is its term of I(A:B|F); phi(empty set) = 0.
+    """
+    n_a, n_b, n_e = p.shape
+    p_flat = p.reshape(-1, n_e)
+    q = np.zeros((1 << n_e, n_a * n_b))
+    for e in range(n_e):  # the subsets holding e are those without it, plus e
+        q[1 << e:2 << e] = q[:1 << e] + p_flat[:, e]
+    # q @ margins holds the cells, the A marginals, the B marginals and the total
+    margins = np.hstack([np.eye(n_a * n_b), np.kron(np.eye(n_a), np.ones((n_b, 1))),
+                         np.kron(np.ones((n_a, 1)), np.eye(n_b)), np.ones((n_a * n_b, 1))])
+    signs = np.repeat([1.0, -1.0, -1.0, 1.0], [n_a * n_b, n_a, n_b, 1])
+    phi = np.empty(len(q))
+    chunk = _map_chunk(p)
+    for start in range(0, len(q), chunk):
+        phi[start:start + chunk] = _plogp(q[start:start + chunk] @ margins) @ signs
+    return phi
+
+
+def _screen_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """`_det_channel_values` up to rounding, from `_subset_cmi_table`.
+
+    A deterministic map g splits Eve's alphabet into the blocks g^-1(f), and
+    I(A:B|F) = sum_f phi(g^-1(f)).  The block masks of a chunk of maps come
+    from one bincount of row * |E| + g(e) weighted by 2^e.
+    """
+    n_e = p.shape[2]
+    phi = _subset_cmi_table(p)
+    bits = 2.0 ** np.arange(n_e)
+    values = np.empty(len(maps))
+    chunk = _map_chunk(p)
+    for start in range(0, len(maps), chunk):
+        block = maps[start:start + chunk]
+        cells = (np.arange(len(block))[:, None] * n_e + block).reshape(-1)
+        masks = np.bincount(cells, weights=np.tile(bits, len(block)), minlength=block.size)
+        masks = masks.astype(np.intp).reshape(block.shape)  # sums of distinct 2^e: exact
+        values[start:start + len(block)] = phi[masks].sum(axis=1)
+    return np.clip(values, 0.0, None)
+
+
+def _distinct_splits(maps: np.ndarray, order: np.ndarray) -> list[int]:
+    """The first `_INTRINSIC_RESTARTS` maps in ``order`` that split Eve's alphabet differently.
+
+    Relabeling Eve's output symbols leaves a map's value unchanged, so maps
+    are told apart by their split alone.
+    """
+    found, seen = [], set()
+    for i in order:
+        if len(found) == _INTRINSIC_RESTARTS:
+            break
+        labels: dict[int, int] = {}
+        split = tuple(labels.setdefault(f, len(labels)) for f in maps[i])
+        if split not in seen:
+            seen.add(split)
+            found.append(int(i))
+    return found
+
+
+def _shortlist(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of every map that can be the best or a refinement start.
+
+    The screen ranks ``maps``; T is the screened value at the 4th distinct
+    split (the largest one when there are fewer), the least v with 4 splits
+    screened at most v, whatever the order of ties.  A map whose exact value
+    is at most the exact value at the 4th distinct split screens at most T
+    plus twice the rounding gap, so keeping the maps screened within
+    `_SCREEN_MARGIN` of T keeps the exact minimum and the whole prefix that
+    the start selection walks, in the same stable order.
+    """
+    screen = _screen_values(p, maps)
+    firsts = _distinct_splits(maps, np.argsort(screen))
+    cut = screen[firsts[-1]] if len(firsts) == _INTRINSIC_RESTARTS else screen.max()
+    return np.flatnonzero(screen <= cut + _SCREEN_MARGIN)
+
+
 def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> float:
     """Best-found intrinsic information min over Eve channels of I(A:B|E').
 
@@ -247,7 +340,9 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     so every one of the Bell(|E|) partitions is tried when they fit under
     `DET_CHANNEL_CAP` (through |E| = 9); otherwise `DET_CHANNEL_CAP` seeded
     random maps plus the identity and the |E| constant maps, so the value
-    never exceeds I(A:B).  Then L-BFGS-B with the exact gradient on the
+    never exceeds I(A:B).  The pool is screened with a table of every
+    subset's term of I(A:B|F), and the maps screened near the best splits
+    are re-scored exactly.  Then L-BFGS-B with the exact gradient on the
     stochastic-matrix parametrization, from the 4 best deterministic maps
     that split Eve's alphabet differently.  Refinement is skipped when a
     deterministic map already gives exactly 0.  The result is a certified
@@ -275,22 +370,14 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
         maps[0] = np.arange(n_e)  # keep the identity in the pool
         constant = np.repeat(np.arange(n_e)[:, None], n_e, axis=1)
         maps = np.concatenate([maps, constant])  # these give I(A:B)
+    maps = maps[_shortlist(p, maps)]
     det_values = _det_channel_values(p, maps)
     best = min(best, float(det_values.min()))
     if not refine or best == 0.0:
         return best
 
-    # Relabeling Eve's output symbols leaves the value unchanged, so start
-    # from the best maps that split her alphabet differently.
-    starts, seen = [], set()
-    for i in np.argsort(det_values, kind="stable"):
-        if len(starts) == _INTRINSIC_RESTARTS:
-            break
-        labels: dict[int, int] = {}
-        split = tuple(labels.setdefault(f, len(labels)) for f in maps[i])
-        if split not in seen:
-            seen.add(split)
-            starts.append(maps[i])
+    # start from the best maps that split Eve's alphabet differently
+    starts = [maps[i] for i in _distinct_splits(maps, np.argsort(det_values, kind="stable"))]
     starts = [starts[i % len(starts)] for i in range(_INTRINSIC_RESTARTS)]
     objective = _IntrinsicObjective(p)
     for g in starts:

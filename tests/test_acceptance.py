@@ -234,7 +234,8 @@ def _intrinsic_oracle(p: np.ndarray) -> float:
     """Independent minimization: deterministic exhaustion + grid descent.
 
     Full coordinate descent over the 0.05-step simplex grid (one stochastic
-    row replaced at a time, all grid rows considered), followed by a
+    row replaced at a time, all grid rows considered) from every split of
+    Eve's alphabet and 120 random grid channels, followed by a
     compass-search refinement that halves the step from 0.05 down to 1e-6.
     A literal global 0.05 grid is both combinatorially impossible at |E| = 4
     and value-quantized far above 1e-4, so local refinement of the same grid
@@ -244,6 +245,12 @@ def _intrinsic_oracle(p: np.ndarray) -> float:
     grid_rows = _simplex_grid_rows(n_e)
     starts = []
     for g in itertools.product(range(n_e), repeat=n_e):
+        # one start per split of Eve's alphabet (Bell(4) = 15 of the 4^4 maps):
+        # relabeling the outputs leaves the value and the grid unchanged, so
+        # only restricted growth strings, each label at most one above the
+        # labels before it, are kept
+        if any(f > max(g[:e], default=-1) + 1 for e, f in enumerate(g)):
+            continue
         rows = np.zeros((n_e, n_e))
         rows[np.arange(n_e), list(g)] = 1.0
         starts.append(rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import diqkd_bounds
-from diqkd_bounds import make_isotropic, save_state
+from diqkd_bounds import SimulationReport, dephasing_simulation, make_isotropic, save_state
 from diqkd_bounds.cli import build_parser, main
 from diqkd_bounds.fileio import behavior_from_dict, save_behavior
 from diqkd_bounds import behavior_from, chsh_value, honest_chsh_device
@@ -104,6 +105,19 @@ def test_simulate_report(capsys):
     assert doc["chsh_match"] is True
     assert doc["qber_match"] is True
     assert abs(doc["omega_target"] - 0.9 * 2 * math.sqrt(2)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "erasure"])
+def test_simulate_report_fields_are_bool_str_or_float(kind, capsys):
+    # the simulate document is built from the report's fields, which it
+    # passes through only for these three types
+    report = dephasing_simulation(kind, 0.1)
+    fields = dataclasses.fields(SimulationReport)
+    for f in fields:
+        assert f.type in ("bool", "str", "float"), f.name
+        assert type(getattr(report, f.name)).__name__ == f.type, f.name
+    _, out, _ = run_cli(capsys, "simulate", "--kind", kind, "--p", "0.1")
+    assert list(json.loads(out)) == [f.name for f in fields]
 
 
 def test_byte_identical_reruns(capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,136 @@ def test_det_channel_values_match_loop_cmi():
     maps = rng.integers(0, 16, size=(12, 16))
     for g, value in zip(maps, measures._det_channel_values(p, maps)):
         assert abs(value - max(loop_cmi(apply_map(p, g)), 0.0)) < 1e-14
+
+
+def test_screen_matches_det_channel_values_on_every_partition():
+    rng = np.random.default_rng(113)
+    for n_e in range(2, 10):
+        p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
+        maps = measures._partitions(n_e)
+        gap = np.abs(measures._screen_values(p, maps) - measures._det_channel_values(p, maps))
+        assert gap.max() <= 1e-13, n_e
+
+
+def test_screen_matches_det_channel_values_on_sampled_maps():
+    rng = np.random.default_rng(127)
+    p = rng.dirichlet(np.ones(64)).reshape(2, 2, 16)
+    maps = np.concatenate([
+        rng.integers(0, 16, size=(50_000, 16)),
+        rng.integers(0, 3, size=(100, 16)) * 7,  # outputs 0, 7 and 14 only
+        np.arange(16)[None],  # the identity
+        np.repeat(np.arange(16)[:, None], 16, axis=1),  # the constant maps
+    ])
+    gap = np.abs(measures._screen_values(p, maps) - measures._det_channel_values(p, maps))
+    assert gap.max() <= 1e-13
+
+
+def test_screen_matches_det_channel_values_with_a_zero_weight_block():
+    p = np.random.default_rng(131).dirichlet(np.ones(24)).reshape(2, 2, 6)
+    p[:, :, 2:4] = 0.0  # the block {2, 3} below carries no mass
+    p /= p.sum()
+    maps = np.array([[0, 0, 1, 1, 2, 2], [0, 1, 2, 2, 3, 4], [0, 1, 2, 3, 4, 5],
+                     [5, 5, 0, 0, 5, 5], [0, 0, 0, 0, 0, 0]])
+    gap = np.abs(measures._screen_values(p, maps) - measures._det_channel_values(p, maps))
+    assert gap.max() <= 1e-13
+    assert measures._subset_cmi_table(p)[0b1100] == 0.0
+
+
+def pin_joint(family: str, n_e: int) -> np.ndarray:
+    """Seeded joints of the float.hex pins below."""
+    if family == "dirichlet":
+        return np.random.default_rng(500 + n_e).dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
+    rng = np.random.default_rng(600 + n_e)
+    p_ab = np.array([[0.45, 0.05], [0.05, 0.45]])
+    w = rng.dirichlet(np.ones(n_e), size=2)  # Eve's noisy view of A
+    return p_ab[:, :, None] * w[:, None, :]
+
+
+# intrinsic_info(pin_joint(family, n_e), seed=n_e, refine=refine) as computed by
+# the search that scored every map with _det_channel_values, before the subset
+# screen: the screen must leave the best map, the starts and the rng draws as
+# they were, so every value stays bit for bit
+INTRINSIC_PINS = {
+    ("copy", 2, True): "0x1.088f543ed5512p-1",
+    ("copy", 2, False): "0x1.088f543ed5514p-1",
+    ("copy", 3, True): "0x1.cadc97531a78cp-2",
+    ("copy", 3, False): "0x1.cadc97531a78cp-2",
+    ("copy", 5, True): "0x1.e933fc2f360b8p-2",
+    ("copy", 5, False): "0x1.e933fc2f360b8p-2",
+    ("copy", 7, True): "0x1.23d31f501f460p-2",
+    ("copy", 7, False): "0x1.23d31f501f460p-2",
+    ("copy", 9, True): "0x1.a8b500f91b5b0p-2",
+    ("copy", 9, False): "0x1.a8b500f91b5b0p-2",
+    ("copy", 16, True): "0x1.8652d31f77810p-2",
+    ("copy", 16, False): "0x1.8652d31f77810p-2",
+    ("dirichlet", 2, True): "0x1.17e1c585b8c80p-7",
+    ("dirichlet", 2, False): "0x1.17e1c585b8d80p-7",
+    ("dirichlet", 3, True): "0x0.0p+0",
+    ("dirichlet", 3, False): "0x1.ac0baa0023000p-12",
+    ("dirichlet", 5, True): "0x1.3b4c0929b0000p-13",
+    ("dirichlet", 5, False): "0x1.f5fe297848800p-12",
+    ("dirichlet", 7, True): "0x1.dfa9da5b18400p-9",
+    ("dirichlet", 7, False): "0x1.4a27ec549d800p-8",
+    ("dirichlet", 9, True): "0x1.3694ba221ac00p-9",
+    ("dirichlet", 9, False): "0x1.5ca0f0b01c900p-9",
+    ("dirichlet", 16, True): "0x0.0p+0",
+    ("dirichlet", 16, False): "0x1.ec77a460584e3p-9",
+}
+
+
+@pytest.mark.parametrize("family, n_e, refine", list(INTRINSIC_PINS))
+def test_intrinsic_info_pinned_bit_for_bit(family, n_e, refine):
+    value = intrinsic_info(pin_joint(family, n_e), seed=n_e, refine=refine)
+    assert float.hex(value) == INTRINSIC_PINS[family, n_e, refine]
+
+
+def stable_walk_prefix(maps: np.ndarray, values: np.ndarray, splits: int = 4) -> np.ndarray:
+    """Indices the stable sort of ``values`` visits up to its ``splits``-th distinct split."""
+    order = np.argsort(values, kind="stable")
+    seen = set()
+    for j, i in enumerate(order):
+        relabel: dict[int, int] = {}
+        seen.add(tuple(relabel.setdefault(int(f), len(relabel)) for f in maps[i]))
+        if len(seen) == splits:
+            return order[:j + 1]
+    return order
+
+
+def symmetric_joint() -> np.ndarray:
+    """Eve's symbols 0, 2, 4 and 1, 3, 5 share conditionals: many exact ties."""
+    p = np.zeros((2, 2, 6))
+    for a, b, e in itertools.product(range(2), range(2), range(6)):
+        p[a, b, e] = (0.45 if a == b else 0.05) * (0.7 if e % 2 == a else 0.3) / 3
+    return p
+
+
+@pytest.mark.parametrize("p", [pin_joint("dirichlet", n) for n in (2, 3, 5, 7, 9, 16)]
+                         + [pin_joint("copy", n) for n in (5, 16)] + [symmetric_joint()])
+def test_shortlist_holds_the_walked_prefix_and_the_argmin(p):
+    n_e = p.shape[2]
+    if measures._bell(n_e) <= measures.DET_CHANNEL_CAP:
+        maps = measures._partitions(n_e)
+    else:
+        maps = np.concatenate([np.random.default_rng(n_e).integers(0, n_e, size=(50_000, n_e)),
+                               np.repeat(np.arange(n_e)[:, None], n_e, axis=1)])
+    exact = measures._det_channel_values(p, maps)
+    kept = set(measures._shortlist(p, maps).tolist())
+    assert set(stable_walk_prefix(maps, exact).tolist()) <= kept
+    assert int(np.argmin(exact)) in kept
+
+
+def test_intrinsic_search_memory_peak():
+    # 50,000 maps of 16 int64 entries are 6.1 MiB; the one-hot blocks of the
+    # exact kernel must not be built for the whole pool at once
+    p = np.random.default_rng(137).dirichlet(np.ones(64)).reshape(2, 2, 16)
+    intrinsic_info(p, refine=False)  # one-time allocations outside the measurement
+    tracemalloc.start()
+    try:
+        intrinsic_info(p, refine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_intrinsic_gradient_matches_central_differences():
