@@ -1,10 +1,12 @@
 """Command-line interface emitting bound curves and single-point evaluations.
 
-Exit codes: 0 on success, 2 on usage errors, 1 on numerical failure.  All
-numeric output uses 12 significant digits, `.` as the decimal separator, and
-newline-terminated lines, so identical invocations produce byte-identical
-output on one platform.  ``--seed`` reaches ``er`` only; ``curve`` accepts it
-and ignores it.
+Exit codes: 0 on success, 2 on usage errors, 1 on numerical failure.  Numbers
+print with 12 significant digits, except the behavior tables of ``device
+--format json`` and of ``localweight``'s JSON ``residual``, which print full
+precision so that they load back unchanged.  Output uses `.` as the decimal
+separator and newline-terminated lines, so identical invocations produce
+byte-identical output on one platform.  ``--seed`` reaches ``er`` only;
+``curve`` accepts it and ignores it.
 """
 
 from __future__ import annotations

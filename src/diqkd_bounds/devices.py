@@ -8,13 +8,13 @@ outcomes, and generates its key from the input pair (0, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BadSettingError, DimensionMismatchError
-from .linalg import kron, psd_eigenvalues
+from .linalg import Spectrum, kron, psd_spectrum
 from .states import (
     DensityMatrix,
     PAULI_I,
@@ -63,7 +63,7 @@ def _check_povm(elements: Sequence[np.ndarray], dim: int, label: str):
     if shapes != {(dim, dim)}:
         raise DimensionMismatchError(f"{label}: elements are {sorted(shapes)}, not {(dim, dim)}")
     elements = np.stack(elements)
-    psd_eigenvalues(elements, what=f"{label}: POVM element")
+    psd_spectrum(elements, what=f"{label}: POVM element")
     if np.linalg.norm(elements.sum(axis=0) - np.eye(dim)) > POVM_TOL:
         raise ValueError(f"{label}: POVM elements do not sum to identity")
 
@@ -168,6 +168,7 @@ class CcqState:
     """
 
     eve_ops: np.ndarray  # shape (nA, nB, dE, dE)
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)  # the check's, per [a, b]
 
     def __post_init__(self):
         ops = np.asarray(self.eve_ops, dtype=complex)
@@ -176,10 +177,11 @@ class CcqState:
         traces = np.einsum("abkk->ab", ops).real
         if abs(traces.sum() - 1.0) > 1e-9:
             raise ValueError(f"Eve operator traces sum to {traces.sum():.9f}, not 1")
-        psd_eigenvalues(ops, EVE_HERMITICITY_TOL, "Eve operator")
+        spectrum = psd_spectrum(ops, 1, EVE_HERMITICITY_TOL, "Eve operator")
         ops = ops.copy()
         ops.flags.writeable = False
         object.__setattr__(self, "eve_ops", ops)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def joint(self) -> np.ndarray:

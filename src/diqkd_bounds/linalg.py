@@ -17,7 +17,7 @@ PSD_TOL = 1e-9  # eigenvalues in [-PSD_TOL, 0) are round-off of a PSD matrix
 
 
 class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
     ``eigenvalues`` are real and sorted descending; the columns of
     ``eigenvectors`` are the matching orthonormal eigenvectors, so
@@ -100,38 +100,32 @@ def hermitian_eig(a) -> Spectrum:
     if h.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got ndim={h.ndim}")
     w, v = _eigh(h)
-    order = np.argsort(w)[::-1]
-    return Spectrum(np.real(w[order]).copy(), v[:, order].copy())
+    return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def psd_eigenvalues(a, hermitian_tol: float = HERMITICITY_TOL,
-                    what: str = "matrix") -> np.ndarray:
-    """Descending eigenvalues of one PSD matrix, or of each matrix in a stack.
+def psd_spectrum(a, parts=1, hermitian_tol: float = HERMITICITY_TOL,
+                 what: str = "matrix") -> Spectrum:
+    """Descending spectrum of one PSD matrix, or of each matrix in a stack.
 
-    The input is checked by `_hermitian_part` within ``hermitian_tol``.  Round-off
-    down to -`PSD_TOL` is returned as 0; anything more negative raises ValueError.
-    ``np.linalg.eigh`` gives the values, as in `hermitian_eig` (``eigvalsh``
-    runs another LAPACK path, which rounds differently in the last bits).
+    The input is checked by `_hermitian_part` within ``hermitian_tol``.  Each
+    matrix is a sum of ``parts`` PSD matrices (one count, or one per matrix):
+    by Weyl's inequality its eigenvalues reach -``parts`` `PSD_TOL`, which is
+    read as 0, and anything lower raises ValueError.  Values and vectors are
+    those of `hermitian_eig` (``eigvalsh`` rounds differently in the last
+    bits).  Both arrays are read-only, so a validated object can keep them.
     """
-    return summed_psd_eigenvalues(a, 1, hermitian_tol, what)
-
-
-def summed_psd_eigenvalues(a, parts, hermitian_tol: float = HERMITICITY_TOL,
-                           what: str = "matrix") -> np.ndarray:
-    """`psd_eigenvalues` of matrices that are each a sum of ``parts`` PSD matrices.
-
-    ``parts`` is one count or one per matrix of the stack.  By Weyl's
-    inequality a sum of k matrices whose eigenvalues reach -`PSD_TOL` has
-    eigenvalues down to -k `PSD_TOL`, so that is the floor for such a sum.
-    """
-    w = _eigh(_hermitian_part(a, hermitian_tol, what))[0][..., ::-1]
+    w, v = _eigh(_hermitian_part(a, hermitian_tol, what))
+    w = w[..., ::-1]
     least = w[..., -1]
     floor = np.broadcast_to(PSD_TOL * np.asarray(parts), least.shape)
     low = least < -floor
     if np.any(low):
         raise ValueError(f"{_first(what, low)} has eigenvalue {least[low][0]:.3e} "
                          f"below -{float(floor[low][0])}: not PSD")
-    return np.where(w < 0.0, 0.0, w)
+    spectrum = Spectrum(np.where(w < 0.0, 0.0, w), v[..., ::-1].copy())
+    for array in spectrum:
+        array.flags.writeable = False
+    return spectrum
 
 
 def _trace_indices(n_factors: int, keep: Sequence[int]) -> tuple[str, str]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .devices import EVE_HERMITICITY_TOL, CcqState, _probabilities
 from .errors import AlphabetTooLargeError, DimensionMismatchError
-from .linalg import psd_eigenvalues, summed_psd_eigenvalues
+from .linalg import psd_spectrum
 from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -92,22 +92,23 @@ def cmi_ccq(c: CcqState) -> float:
     """I(A:B|E) of a ccq state, exploiting the classical block structure.
 
     S(ABE), S(AE) and S(BE) decompose into entropies of the subnormalized
-    Eve blocks because A and B are classical registers.
+    Eve blocks because A and B are classical registers.  The blocks' spectra
+    are the ones `CcqState` keeps; only their sums are decomposed here.
     """
     ops = c.eve_ops
     n_a, n_b, d, _ = ops.shape
-    blocks = np.concatenate([ops.reshape(-1, d, d), ops.sum(axis=1), ops.sum(axis=0),
-                             ops.sum(axis=(0, 1))[None]])
+    sums = np.concatenate([ops.sum(axis=1), ops.sum(axis=0), ops.sum(axis=(0, 1))[None]])
     # CcqState holds each block Hermitian within EVE_HERMITICITY_TOL, so a sum
     # of n_a * n_b of them is within n_a * n_b times that; the PSD floor of
     # each summed block scales with its number of parts
-    parts = np.repeat([1, n_b, n_a, n_a * n_b], [n_a * n_b, n_a, n_b, 1])
-    w = summed_psd_eigenvalues(blocks, parts, n_a * n_b * EVE_HERMITICITY_TOL, "ccq block")
+    parts = np.repeat([n_b, n_a, n_a * n_b], [n_a, n_b, 1])
+    w = psd_spectrum(sums, parts, n_a * n_b * EVE_HERMITICITY_TOL,
+                     "summed ccq block").eigenvalues
     # one np.dot per block over its support, as in von_neumann_entropy: a dot
     # over zero-padded rows rounds differently once a block has 16 eigenvalues
-    h = [entropy_of_eigenvalues(row) for row in w]
-    ae, be = n_a * n_b, n_a * n_b + n_a  # where the AE and the BE blocks start
-    s_abe, s_ae, s_be, s_e = sum(h[:ae]), sum(h[ae:be]), sum(h[be:-1]), sum(h[-1:])
+    entropy = lambda rows: sum(entropy_of_eigenvalues(row) for row in rows)
+    s_abe = entropy(c.spectrum.eigenvalues.reshape(-1, d))
+    s_ae, s_be, s_e = entropy(w[:n_a]), entropy(w[n_a:-1]), entropy(w[-1:])
     value = s_ae + s_be - s_abe - s_e
     if value < -1e-9:
         raise ValueError(f"conditional mutual information {value:.3e} below -1e-9")
@@ -413,7 +414,7 @@ class _ErObjective:
         self.d = self.da * self.db
         self.k = k
         self.rho = rho.matrix
-        self.neg_entropy = -entropy_of_eigenvalues(psd_eigenvalues(self.rho))  # sum lam log2 lam
+        self.neg_entropy = -entropy_of_eigenvalues(rho.spectrum.eigenvalues)  # sum lam log2 lam
         self.best = math.inf
 
     @property

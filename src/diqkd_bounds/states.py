@@ -6,13 +6,13 @@ All entropies and relative entropies are in bits (log base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import as_matrix, hermitian_eig, kron, partial_trace, psd_eigenvalues
+from .linalg import Spectrum, as_matrix, kron, partial_trace, psd_spectrum
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,6 +45,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    # the check's read-only psd_spectrum, for every later entropy and purification
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -52,13 +54,14 @@ class DensityMatrix:
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise DimensionMismatchError(f"matrix is {m.shape}, dims {dims} imply {total}")
-        psd_eigenvalues(m, what="density matrix")
+        spectrum = psd_spectrum(m, what="density matrix")
         if abs(np.trace(m).real - 1.0) > STATE_TOL or abs(np.trace(m).imag) > STATE_TOL:
             raise ValueError(f"trace {np.trace(m):.6g} differs from 1 beyond {STATE_TOL}")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -180,8 +183,8 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     Eigenvalue round-off down to -1e-9 is clamped to zero (the input is
     declared PSD); anything more negative raises.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    return entropy_of_eigenvalues(psd_eigenvalues(m))
+    spec = rho.spectrum if isinstance(rho, DensityMatrix) else psd_spectrum(as_matrix(rho))
+    return entropy_of_eigenvalues(spec.eigenvalues)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -193,19 +196,16 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
-    w_r = psd_eigenvalues(rho.matrix)
-    spec_s = hermitian_eig(sigma.matrix)
-    w_s = np.clip(spec_s.eigenvalues, 0.0, None)
+    w_s, v_s = sigma.spectrum
     # weight of rho on each eigenvector of sigma
-    overlap = np.real(np.einsum("ij,jk,ki->i", spec_s.eigenvectors.conj().T,
-                                rho.matrix, spec_s.eigenvectors))
+    overlap = np.real(np.einsum("ij,jk,ki->i", v_s.conj().T, rho.matrix, v_s))
     overlap = np.clip(overlap, 0.0, None)
     outside = w_s <= SUPPORT_CUTOFF
     if np.any(overlap[outside] > 1e-10):
         return math.inf
     inside = ~outside
     cross = -float(np.dot(overlap[inside], np.log2(w_s[inside])))
-    return -entropy_of_eigenvalues(w_r) + cross
+    return -entropy_of_eigenvalues(rho.spectrum.eigenvalues) + cross
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -214,11 +214,9 @@ def purify(rho: DensityMatrix) -> PureState:
     The purifying factor is appended as the last tensor factor; its dimension
     equals the numerical rank of ``rho`` (eigenvalues above 1e-12).
     """
-    spec = hermitian_eig(rho.matrix)
-    w = np.clip(spec.eigenvalues, 0.0, None)
+    w, v = rho.spectrum
     support = w > SUPPORT_CUTOFF
-    w = w[support]
-    v = spec.eigenvectors[:, support]
+    w, v = w[support], v[:, support]
     rank = int(w.size)
     amp = (v * np.sqrt(w)).reshape(-1)  # amp[m*rank + i] = sqrt(w_i) v[m, i]
     amp = amp / np.linalg.norm(amp)

@@ -8,7 +8,7 @@ from diqkd_bounds import (
     kron,
     partial_trace,
 )
-from diqkd_bounds.linalg import PSD_TOL, psd_eigenvalues, summed_psd_eigenvalues
+from diqkd_bounds.linalg import PSD_TOL, psd_spectrum
 from diqkd_bounds.states import KET_PHI_PLUS, PAULI_X, PAULI_Z, projector
 
 I2 = np.eye(2)
@@ -111,68 +111,71 @@ def _psd_stack(rng, count, dim):
     return g @ g.conj().swapaxes(-1, -2)
 
 
-def test_psd_eigenvalues_match_hermitian_eig_bitwise():
-    # one batched call gives each matrix the values hermitian_eig gives it alone
+def test_psd_spectrum_matches_hermitian_eig_bitwise():
+    # one batched call gives each matrix the spectrum hermitian_eig gives it alone
     rng = np.random.default_rng(19)
     for dim in (1, 2, 3, 4, 8, 17):
         stack = _psd_stack(rng, 6, dim)
         stack[1] = projector(rng.standard_normal(dim))  # rank one: round-off near 0
-        w = psd_eigenvalues(stack)
-        assert w.shape == (6, dim)
-        for m, row in zip(stack, w):
-            expected = hermitian_eig(m).eigenvalues
-            assert np.array_equal(row, np.where(expected < 0.0, 0.0, expected))
+        w, v = psd_spectrum(stack)
+        assert w.shape == (6, dim) and v.shape == (6, dim, dim)
+        for m, row, vectors in zip(stack, w, v):
+            expected = hermitian_eig(m)
+            assert np.array_equal(row, np.where(expected.eigenvalues < 0.0, 0.0,
+                                                expected.eigenvalues))
+            assert np.array_equal(vectors, expected.eigenvectors)
 
 
-def test_psd_eigenvalues_single_matrix_descending():
-    w = psd_eigenvalues(np.diag([0.1, 0.6, 0.3]))
+def test_psd_spectrum_single_matrix_descending():
+    w, v = psd_spectrum(np.diag([0.1, 0.6, 0.3]))
     assert w.shape == (3,)
     assert np.allclose(w, [0.6, 0.3, 0.1])
+    assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
 
-def test_psd_eigenvalues_rejects_one_non_hermitian_matrix_in_stack():
+def test_psd_spectrum_rejects_one_non_hermitian_matrix_in_stack():
     stack = _psd_stack(np.random.default_rng(23), 5, 3)
     stack[3, 0, 2] += 1e-6  # defect 1e-6 in one matrix only
     with pytest.raises(NotHermitianError, match=r"block \(3,\)"):
-        psd_eigenvalues(stack, what="block")
+        psd_spectrum(stack, what="block")
     # the tolerance is the caller's
-    assert psd_eigenvalues(stack, hermitian_tol=1e-5).shape == (5, 3)
+    assert psd_spectrum(stack, hermitian_tol=1e-5).eigenvalues.shape == (5, 3)
 
 
-def test_psd_eigenvalues_rejects_negative_eigenvalue_in_stack():
+def test_psd_spectrum_rejects_negative_eigenvalue_in_stack():
     stack = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, -2 * PSD_TOL]), np.eye(2) / 2])
     with pytest.raises(ValueError, match=rf"block \(1,\) has eigenvalue .* below -{PSD_TOL}"):
-        psd_eigenvalues(stack, what="block")
+        psd_spectrum(stack, what="block")
 
 
-def test_psd_eigenvalues_clamps_round_off_to_zero():
+def test_psd_spectrum_clamps_round_off_to_zero():
     stack = np.stack([np.diag([1.0, -PSD_TOL / 2]), np.diag([0.25, 0.75])])
-    w = psd_eigenvalues(stack)
+    w = psd_spectrum(stack).eigenvalues
     assert np.array_equal(w, [[1.0, 0.0], [0.75, 0.25]])
     assert not np.signbit(w).any()
 
 
-def test_summed_psd_eigenvalues_floor_scales_with_parts():
+def test_psd_spectrum_floor_scales_with_parts():
     stack = np.stack([np.diag([1.0, -1.5 * PSD_TOL]), np.diag([1.0, -2.5 * PSD_TOL])])
-    w = summed_psd_eigenvalues(stack, [2, 3])
+    w = psd_spectrum(stack, [2, 3]).eigenvalues
     assert np.array_equal(w, [[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match=rf"block \(1,\) has eigenvalue .* below -{2 * PSD_TOL}"):
-        summed_psd_eigenvalues(stack, [2, 2], what="block")
+        psd_spectrum(stack, [2, 2], what="block")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
-def test_psd_eigenvalues_rejects_non_finite_entry(bad):
+def test_psd_spectrum_rejects_non_finite_entry(bad):
     stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
     stack[1, 1, 0] = bad  # NaN passes every comparison of the later checks
     with pytest.raises(ValueError, match="NaN or Inf"):
-        psd_eigenvalues(stack)
+        psd_spectrum(stack)
 
 
-def test_psd_eigenvalues_rejects_non_square_stack():
+def test_psd_spectrum_rejects_non_square_stack():
     with pytest.raises(DimensionMismatchError):
-        psd_eigenvalues(np.zeros((3, 2, 3)))
+        psd_spectrum(np.zeros((3, 2, 3)))
     with pytest.raises(DimensionMismatchError):
-        psd_eigenvalues(np.zeros(4))
+        psd_spectrum(np.zeros(4))
 
 
 def test_partial_trace_bell_marginal():
