@@ -258,10 +258,12 @@ def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
 def convex_hull_bound(c1: BoundCurve, c2: BoundCurve) -> BoundCurve:
     """Lower convex envelope of the pointwise minimum of two bound curves.
 
-    Both curves must share the same parameter grid.  Mixing devices along
-    the parameter axis is an allowed attack, so the hull is itself an upper
-    bound on the key rate wherever the inputs are.
+    Both curves must share the same parameter axis and grid.  Mixing devices
+    along the parameter axis is an allowed attack, so the hull is itself an
+    upper bound on the key rate wherever the inputs are.
     """
+    if c1.axis != c2.axis:
+        raise GridMismatchError(f"curves are on different axes: {c1.axis!r} and {c2.axis!r}")
     x1, x2 = c1.params, c2.params
     if x1.shape != x2.shape or np.max(np.abs(x1 - x2)) > 1e-15:
         raise GridMismatchError("curves are not sampled on the same parameter grid")

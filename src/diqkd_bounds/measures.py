@@ -140,11 +140,18 @@ def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
     keep = np.where(p_e > 1e-15)[0]
     p = p[:, :, keep]
     p_e = p_e[keep]
-    conditionals = p / p_e[None, None, :]
+    conditionals = (p / p_e[None, None, :]).reshape(-1, len(keep))
+    # close[e, e'] when max_ab |p(a,b|e) - p(a,b|e')| < 1e-12, one block of
+    # symbols at a time so that no difference array exceeds ~2M elements
+    block = max(1, 2_000_000 // (conditionals.size + 1))
+    close = np.concatenate([
+        np.abs(conditionals[:, start:start + block, None] - conditionals[:, None, :]).max(axis=0)
+        < 1e-12 for start in range(0, len(keep), block)])
+    # each symbol joins the first group whose first member is close to it
     groups: list[list[int]] = []
-    for e in range(p.shape[2]):
+    for e in range(len(keep)):
         for g in groups:
-            if np.max(np.abs(conditionals[:, :, e] - conditionals[:, :, g[0]])) < 1e-12:
+            if close[e, g[0]]:
                 g.append(e)
                 break
         else:
@@ -164,33 +171,58 @@ class _IntrinsicObjective:
 
     def __init__(self, p: np.ndarray):
         self.p = p
-        self.n_e = p.shape[2]
+        n_a, n_b, n_e = p.shape
+        self.n_e = n_e
         self.best = math.inf
+        # q(a,b,f), q(a,f), q(b,f) and q(f) lie side by side in one buffer, so
+        # one floor, one log2 and one product cover all four tables; each
+        # evaluation overwrites every entry of the workspace
+        shapes = [(n_a, n_b, n_e), (n_a, 1, n_e), (1, n_b, n_e), (1, 1, n_e)]
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        self._cells, self._logs, self._terms = np.empty((3, ends[-1]))
+        self._tables = [self._cells[i:j].reshape(shape) for (i, j), shape in zip(spans, shapes)]
+        self._log_tables = [self._logs[i:j].reshape(shape) for (i, j), shape in zip(spans, shapes)]
+        self._term_spans = [self._terms[i:j] for i, j in spans]
+        self._rows, self._g_rows, self._g_terms = np.empty((3, n_e, n_e))
+        self._s, self._g_mean = np.empty((2, n_e, 1))
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = theta.reshape(self.n_e, self.n_e)
-        sq = theta * theta
-        s = np.clip(sq.sum(axis=1, keepdims=True), 1e-300, None)
-        rows = sq / s
-        q = np.einsum("abe,ef->abf", self.p, rows)
-        q_af = q.sum(axis=1, keepdims=True)
-        q_bf = q.sum(axis=0, keepdims=True)
-        q_f = q.sum(axis=(0, 1), keepdims=True)
+        rows, s = self._rows, self._s
+        np.multiply(theta, theta, out=rows)
+        np.maximum(np.add.reduce(rows, axis=1, keepdims=True, out=s), 1e-300, out=s)
+        rows /= s
+        q, q_af, q_bf, q_f = self._tables
+        np.einsum("abe,ef->abf", self.p, rows, out=q)
+        np.add.reduce(q, axis=1, keepdims=True, out=q_af)
+        np.add.reduce(q, axis=0, keepdims=True, out=q_bf)
+        np.add.reduce(q, axis=(0, 1), keepdims=True, out=q_f)
 
         # I = H(AF) + H(BF) - H(ABF) - H(F) over every cell: a support cutoff
         # would drop the tiny cells the optimizer drives toward and report
         # values below what the channel gives
-        cells = (q, q_af, q_bf, q_f)
-        l_abf, l_af, l_bf, l_f = logs = [_log2(t) for t in cells]
-        h_abf, h_af, h_bf, h_f = (float((t * lg).sum()) for t, lg in zip(cells, logs))
+        logs = self._logs
+        np.log2(np.maximum(self._cells, 1e-300, out=logs), out=logs)
+        np.multiply(self._cells, logs, out=self._terms)
+        h_abf, h_af, h_bf, h_f = (float(np.add.reduce(t)) for t in self._term_spans)
         value = h_abf + h_f - h_af - h_bf
-        # dI/dq(abf) in bits; the -1/ln2 terms of the four entropies cancel
-        g_q = l_abf + l_f - l_af - l_bf
+        # dI/dq(abf) in bits, built in place of log2 q(a,b,f); the -1/ln2
+        # terms of the four entropies cancel
+        g_q, l_af, l_bf, l_f = self._log_tables
+        g_q += l_f
+        g_q -= l_af
+        g_q -= l_bf
         if value < self.best:
             self.best = value
-        g_rows = np.einsum("abe,abf->ef", self.p, g_q)
-        g_sq = (g_rows - (g_rows * rows).sum(axis=1, keepdims=True)) / s
-        return value, (2.0 * theta * g_sq).reshape(-1)
+        g_rows = np.einsum("abe,abf->ef", self.p, g_q, out=self._g_rows)
+        np.add.reduce(np.multiply(g_rows, rows, out=self._g_terms), axis=1, keepdims=True,
+                      out=self._g_mean)
+        g_rows -= self._g_mean
+        g_rows /= s
+        grad = 2.0 * theta
+        grad *= g_rows
+        return value, grad.reshape(-1)
 
 
 def _bell(n: int) -> int:

@@ -320,6 +320,18 @@ def test_hull_grid_mismatch():
         convex_hull_bound(make_curve("a", [1, 1, 1]), make_curve("b", [1, 1, 1, 1]))
 
 
+def test_hull_rejects_curves_on_different_axes():
+    # the same numbers on both grids: one is the noise nu, the other the channel's p
+    al = bound_curve("al", grid=5, hi=0.25)
+    dephasing = channel_curve("dephasing", grid=5, p_max=0.25)
+    assert np.array_equal(al.params, dephasing.params)
+    for c1, c2 in [(al, dephasing), (dephasing, al)]:
+        with pytest.raises(GridMismatchError, match="different axes"):
+            convex_hull_bound(c1, c2)
+    assert convex_hull_bound(al, al).axis == "nu"
+    assert convex_hull_bound(dephasing, dephasing).axis == "p"
+
+
 def test_attack_bounds_convex_below_frontier():
     # the bridge bisection's precondition: a line of each slope touches once
     for name in ("al", "fbjl"):

@@ -323,6 +323,86 @@ def test_intrinsic_alphabet_cap_after_reduction():
         intrinsic_info(big, seed=0)
 
 
+def loop_reduce_alphabet(p: np.ndarray) -> np.ndarray:
+    """`measures._reduce_alphabet` comparing one pair of conditionals at a time."""
+    p_e = p.sum(axis=(0, 1))
+    keep = np.where(p_e > 1e-15)[0]
+    p = p[:, :, keep]
+    p_e = p_e[keep]
+    conditionals = p / p_e[None, None, :]
+    groups: list[list[int]] = []
+    for e in range(p.shape[2]):
+        for g in groups:
+            if np.max(np.abs(conditionals[:, :, e] - conditionals[:, :, g[0]])) < 1e-12:
+                g.append(e)
+                break
+        else:
+            groups.append([e])
+    if len(groups) == p.shape[2]:
+        return p
+    return np.stack([p[:, :, g].sum(axis=2) for g in groups], axis=2)
+
+
+def conditional_gap(p: np.ndarray, e: int, f: int) -> float:
+    cond = p / p.sum(axis=(0, 1))
+    return float(np.max(np.abs(cond[:, :, e] - cond[:, :, f])))
+
+
+def column_at_gap(gap: float) -> np.ndarray:
+    """A column whose conditional is exactly ``gap`` from that of [[1/4, 1/4], [0, 0]].
+
+    The gap sits in cell (1, 0); the other cells differ by about gap / 2.
+    """
+    p = np.zeros((2, 2, 2))
+    p[0, :, :] = 0.25
+    x = gap / (2 - 2 * gap)  # x / (1/2 + x) = gap
+    for _ in range(64):
+        p[1, 0, 1] = x
+        d = conditional_gap(p, 0, 1)
+        if d == gap:
+            return p[:, :, 1]
+        x = np.nextafter(x, 1.0 if d < gap else 0.0)
+    raise AssertionError(f"no column at gap {gap!r}")
+
+
+MERGE_TOL = 1e-12  # _reduce_alphabet merges conditionals strictly closer than this
+BELOW_TOL = float(np.nextafter(MERGE_TOL, 0.0))
+
+
+@pytest.mark.parametrize("gap, groups",
+                         [(MERGE_TOL, 2), (BELOW_TOL, 1), (0.0, 1), (2 * MERGE_TOL, 2)])
+def test_reduce_alphabet_merges_strictly_below_the_tolerance(gap, groups):
+    p = np.stack([column_at_gap(0.0), column_at_gap(gap)], axis=2)
+    assert conditional_gap(p, 0, 1) == gap
+    reduced = measures._reduce_alphabet(p)
+    assert reduced.shape[2] == groups
+    assert reduced.tobytes() == loop_reduce_alphabet(p).tobytes()
+
+
+def test_reduce_alphabet_matches_the_pairwise_loop():
+    # a chain 0 ~ BELOW_TOL ~ 2 * BELOW_TOL: greedy grouping compares each
+    # symbol with the first member of a group only, so the order of the symbols
+    # matters; a zero column, an exact copy and a symbol exactly MERGE_TOL away
+    # ride along
+    chain = [column_at_gap(g) for g in (0.0, BELOW_TOL, 2 * BELOW_TOL, MERGE_TOL, 0.0)]
+    columns = chain + [np.zeros((2, 2)), np.array([[0.1, 0.2], [0.3, 0.4]])]
+    joints = [np.stack([columns[i] for i in order], axis=2)
+              for order in itertools.permutations(range(len(columns)))][::7]
+    joints += [pin_joint(family, n_e) for family in ("copy", "dirichlet") for n_e in (2, 5, 16)]
+    joints.append(symmetric_joint())
+    for n_e in (40, 1000):  # 1000 symbols take more than one block of the gap matrix
+        copies = np.zeros((2, 2, n_e))
+        for e in range(n_e):
+            copies[e % 2, (e // 2) % 2, e] = 1.0 / n_e
+        joints.append(copies)
+    merged = 0
+    for p in joints:
+        reduced, ref = measures._reduce_alphabet(p), loop_reduce_alphabet(p)
+        assert reduced.shape == ref.shape and reduced.tobytes() == ref.tobytes()
+        merged += reduced.shape[2] < p.shape[2]
+    assert merged > len(joints) // 2
+
+
 def test_intrinsic_reproducible():
     rng = np.random.default_rng(67)
     p = rng.dirichlet(np.ones(2 * 2 * 4)).reshape(2, 2, 4)
@@ -536,6 +616,89 @@ def test_intrinsic_objective_is_cmi_after_the_channel():
     rows /= rows.sum(axis=1, keepdims=True)
     q = np.einsum("abe,ef->abf", p, rows)
     assert abs(_IntrinsicObjective(p).value_and_grad(theta)[0] - loop_cmi(q)) < 1e-12
+
+
+def reference_value_and_grad(p: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """`_IntrinsicObjective.value_and_grad` with one NumPy call per table, before its workspace."""
+    n_e = p.shape[2]
+    theta = theta.reshape(n_e, n_e)
+    sq = theta * theta
+    s = np.clip(sq.sum(axis=1, keepdims=True), 1e-300, None)
+    rows = sq / s
+    q = np.einsum("abe,ef->abf", p, rows)
+    q_af = q.sum(axis=1, keepdims=True)
+    q_bf = q.sum(axis=0, keepdims=True)
+    q_f = q.sum(axis=(0, 1), keepdims=True)
+    cells = (q, q_af, q_bf, q_f)
+    l_abf, l_af, l_bf, l_f = logs = [np.log2(np.maximum(t, 1e-300)) for t in cells]
+    h_abf, h_af, h_bf, h_f = (float((t * lg).sum()) for t, lg in zip(cells, logs))
+    value = h_abf + h_f - h_af - h_bf
+    g_q = l_abf + l_f - l_af - l_bf
+    g_rows = np.einsum("abe,abf->ef", p, g_q)
+    g_sq = (g_rows - (g_rows * rows).sum(axis=1, keepdims=True)) / s
+    return value, (2.0 * theta * g_sq).reshape(-1)
+
+
+def refined_thetas(p: np.ndarray, seed: int, monkeypatch) -> list[np.ndarray]:
+    """Every theta that L-BFGS-B evaluates in intrinsic_info(p, seed=seed), in order."""
+    thetas = []
+
+    class Recording(_IntrinsicObjective):
+        def value_and_grad(self, theta):
+            thetas.append(theta.copy())
+            return super().value_and_grad(theta)
+
+    with monkeypatch.context() as m:
+        m.setattr(measures, "_IntrinsicObjective", Recording)
+        intrinsic_info(p, seed=seed)
+    return thetas
+
+
+def test_intrinsic_objective_matches_reference_bit_for_bit(monkeypatch):
+    joints = [pin_joint(family, n_e) for family in ("copy", "dirichlet")
+              for n_e in (2, 3, 5, 7, 16)]
+    joints.append(np.random.default_rng(77).dirichlet(np.ones(24)).reshape(3, 2, 4))
+    for p in joints:
+        n_e = p.shape[2]
+        thetas = refined_thetas(p, n_e, monkeypatch)
+        assert thetas, p.shape
+        rng = np.random.default_rng(n_e)
+        zero_row = rng.standard_normal((n_e, n_e))
+        zero_row[n_e // 2] = 0.0  # its row sum is floored at 1e-300
+        one_hot = np.zeros((n_e, n_e))
+        one_hot[:, 0] = 1.0  # every output but 0 is empty: log2(1e-300) cells
+        extremes = [zero_row.reshape(-1), one_hot.reshape(-1)]
+        # one instance sees the recorded run forwards and backwards, interleaved
+        # with the extremes, so no state can carry over from one theta to the next
+        sequence = []
+        for k, pair in enumerate(zip(thetas, reversed(thetas))):
+            sequence.extend(pair)
+            if k % 5 == 0:
+                sequence.append(extremes[k % 2])
+        objective = _IntrinsicObjective(p)
+        for theta in sequence:
+            value, grad = objective.value_and_grad(theta)
+            ref_value, ref_grad = reference_value_and_grad(p, theta)
+            assert float.hex(value) == float.hex(ref_value)
+            assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+# objective evaluations one refined intrinsic_info(pin_joint(family, n_e),
+# seed=n_e) makes, counted before the objective got its workspace: with the
+# INTRINSIC_PINS values they show the L-BFGS-B trajectory is unchanged
+INTRINSIC_EVALUATIONS = {
+    ("copy", 2): 63, ("copy", 3): 147, ("copy", 5): 269, ("copy", 7): 342,
+    ("copy", 9): 338, ("copy", 16): 336,
+    ("dirichlet", 2): 63, ("dirichlet", 3): 102, ("dirichlet", 5): 358,
+    ("dirichlet", 7): 343, ("dirichlet", 9): 335, ("dirichlet", 16): 139,
+}
+
+
+@pytest.mark.parametrize("family, n_e", [(f, n) for f, n, refine in INTRINSIC_PINS if refine])
+def test_intrinsic_refinement_evaluation_count_pinned(family, n_e, monkeypatch):
+    thetas = refined_thetas(pin_joint(family, n_e), n_e, monkeypatch)
+    assert len(thetas) == INTRINSIC_EVALUATIONS[family, n_e]
 
 
 def test_intrinsic_refinement_never_weaker_than_deterministic_search():
