@@ -729,6 +729,91 @@ def test_intrinsic_exact_zero_skips_refinement(monkeypatch):
     assert intrinsic_info(p, seed=0) == 0.0
 
 
+# --- the L-BFGS-B driver ----------------------------------------------------
+
+def recorded_descents(monkeypatch, call) -> list[tuple]:
+    """(fun, x0, maxiter) of every descent ``call()`` starts, in order."""
+    driver, runs = measures.minimize, []
+
+    def recording(fun, x0, **kwargs):
+        runs.append((fun, np.array(x0), kwargs["options"]["maxiter"]))
+        return driver(fun, x0, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(measures, "minimize", recording)
+        call()
+    return runs
+
+
+def assert_scipy_descent(fun, x0, maxiter) -> int:
+    """measures.minimize from x0 is scipy's public L-BFGS-B run bit for bit; returns nit."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    def traced(points):
+        def wrapped(x):
+            points.append(x.tobytes())
+            return fun(x)
+        return wrapped
+
+    ours, theirs = [], []
+    res = measures.minimize(traced(ours), x0, jac=True, method="L-BFGS-B",
+                            options={"maxiter": maxiter})
+    ref = scipy_minimize(traced(theirs), x0, jac=True, method="L-BFGS-B",
+                         options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
+    assert ours == theirs  # every evaluated point, in order
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert float.hex(res.fun) == float.hex(float(ref.fun))
+    assert (res.nfev, res.nit) == (ref.nfev, ref.nit)
+    return res.nit
+
+
+@pytest.mark.parametrize("family", ["copy", "dirichlet"])
+@pytest.mark.parametrize("n_e", [2, 5, 16])
+def test_minimize_is_scipy_lbfgsb_on_intrinsic_refinement(family, n_e, monkeypatch):
+    p = pin_joint(family, n_e)
+    runs = recorded_descents(monkeypatch, lambda: intrinsic_info(p, seed=n_e))
+    assert len(runs) == measures._INTRINSIC_RESTARTS
+    nits = [assert_scipy_descent(*run) for run in runs]
+    if (family, n_e) == ("copy", 16):  # runs stopped by the iteration cap are covered
+        assert measures.INTRINSIC_REFINE_ITERS in nits
+
+
+@pytest.mark.parametrize("rho", [make_isotropic(0.1),
+                                 random_density(np.random.default_rng(29), (2, 3))],
+                         ids=["isotropic", "qubit-qutrit"])
+def test_minimize_is_scipy_lbfgsb_on_er_descents(rho, monkeypatch):
+    runs = recorded_descents(monkeypatch, lambda: er_numeric(rho, restarts=2))
+    assert len(runs) == 2
+    for run in runs:
+        assert_scipy_descent(*run)
+
+
+def quadratic(x):
+    return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
+
+
+def test_minimize_returns_what_the_tracer_reads():
+    res = measures.minimize(quadratic, np.zeros(3), jac=True, method="L-BFGS-B",
+                            options={"maxiter": 50})
+    assert np.allclose(res.x, 1.0) and res.fun < 1e-12
+    assert res.nfev >= 2 and res.nit >= 1
+
+
+@pytest.mark.parametrize("method, jac, options", [
+    ("BFGS", True, {"maxiter": 5}),
+    ("Nelder-Mead", True, {"maxiter": 5}),
+    ("L-BFGS-B", None, {"maxiter": 5}),
+    ("L-BFGS-B", False, {"maxiter": 5}),
+    ("L-BFGS-B", "2-point", {"maxiter": 5}),
+    ("L-BFGS-B", lambda x: 2.0 * (x - 1.0), {"maxiter": 5}),
+    ("L-BFGS-B", True, {}),
+    ("L-BFGS-B", True, {"maxiter": 5, "ftol": 1e-8}),
+])
+def test_minimize_refuses_what_it_does_not_run(method, jac, options):
+    with pytest.raises(ValueError):
+        measures.minimize(quadratic, np.zeros(3), jac=jac, method=method, options=options)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     src = str(Path(diqkd_bounds.__file__).resolve().parents[1])
     code = "import sys, diqkd_bounds.cli; print('scipy.optimize' in sys.modules)"
