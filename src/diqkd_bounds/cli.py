@@ -151,7 +151,14 @@ def _run_er(args) -> str:
         raise SystemExit("error: --restarts must be positive")
     if args.ensemble_size is not None and args.ensemble_size < 1:
         raise SystemExit("error: --ensemble-size must be positive")
+    if args.seed < 0:
+        raise SystemExit("error: --seed must be non-negative")
     rho = fileio.load_state(args.file)
+    # Caratheodory: every separable state on d dimensions mixes at most d**2
+    # pure product states, so a larger ensemble only costs memory
+    if args.ensemble_size is not None and args.ensemble_size > rho.dim ** 2:
+        raise SystemExit(f"error: --ensemble-size must be at most {rho.dim ** 2} "
+                         f"(the squared dimension) for a {rho.dim}-dimensional state")
     value = er_numeric(rho, k=args.ensemble_size, restarts=args.restarts,
                        seed=args.seed)
     if args.format == "csv":

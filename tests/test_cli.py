@@ -168,7 +168,8 @@ def test_usage_error_exit_code(capsys):
 
 @pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--restarts", "-1"),
                                         ("--ensemble-size", "0"),
-                                        ("--ensemble-size", "-3")])
+                                        ("--ensemble-size", "-3"),
+                                        ("--seed", "-1")])
 def test_er_empty_search_is_usage_error(tmp_path, capsys, flag, value):
     path = tmp_path / "state.json"
     save_state(make_isotropic(0.1), path)
@@ -177,6 +178,22 @@ def test_er_empty_search_is_usage_error(tmp_path, capsys, flag, value):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+
+
+def test_er_seed_is_checked_before_the_state_file_is_read(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "er", "--file", str(tmp_path / "missing.json"),
+                           "--seed", "-1")
+    assert (code, err) == (2, "error: --seed must be non-negative\n")
+
+
+def test_er_ensemble_beyond_squared_dimension_is_usage_error(tmp_path, capsys):
+    # a separable state on d = 4 dimensions mixes at most d**2 = 16 product states
+    path = tmp_path / "state.json"
+    save_state(make_isotropic(0.1), path)
+    code, out, err = run_cli(capsys, "er", "--file", str(path), "--ensemble-size", "17")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --ensemble-size must be at most 16 ")
+    assert err.count("\n") == 1
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):

@@ -814,12 +814,41 @@ def test_minimize_refuses_what_it_does_not_run(method, jac, options):
         measures.minimize(quadratic, np.zeros(3), jac=jac, method=method, options=options)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+# Run in a fresh interpreter: imports diqkd_bounds.cli, then every command
+# through cli.main, checking after each that the scipy.optimize package was
+# never imported; then checks that the routine `minimize` loaded by file is
+# the one the public import gives.
+_NO_SCIPY_OPTIMIZE = """
+import sys
+from diqkd_bounds import behavior_from, cli, honest_chsh_device, make_isotropic, measures, save_state
+from diqkd_bounds.fileio import save_behavior
+state, behavior, out = sys.argv[1:4]
+assert 'scipy.optimize' not in sys.modules, 'import'
+save_state(make_isotropic(0.1), state)
+save_behavior(behavior_from(*honest_chsh_device(0.1)), behavior)
+commands = [["device", "--nu", "0.1"], ["simulate", "--kind", "erasure", "--p", "0.1"],
+            ["localweight", "--file", behavior], ["curve", "al", "--grid", "3"],
+            ["curve", "fractional", "--grid", "3"], ["curve", "hull", "--grid", "3"],
+            ["curve", "channel", "--kind", "dephasing", "--grid", "3"],
+            ["er", "--file", state, "--restarts", "1"]]
+for argv in commands:
+    assert cli.main([*argv, "--output", out]) == 0, argv
+    assert 'scipy.optimize' not in sys.modules, argv
+routine = measures._lbfgsb_routine()
+import scipy.optimize._lbfgsb as public
+assert routine.__file__ == public.__file__ and routine is public
+print("ok")
+"""
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     src = str(Path(diqkd_bounds.__file__).resolve().parents[1])
-    code = "import sys, diqkd_bounds.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == "False"
+    paths = [str(tmp_path / name) for name in ("state.json", "behavior.json", "out.txt")]
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_OPTIMIZE, *paths],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"
 
 
 def test_er_numeric_rejects_empty_search():
