@@ -4,14 +4,16 @@ Prints the device-independent secret-key capacity bounds of the dephasing,
 depolarizing, and erasure qubit channels over their noise range, then
 verifies that a dephasing device replicates the CHSH statistics of the other
 two channels (the construction behind the "use a dephasing channel" advice).
+The CSVs are written in the CLI's format: each is what ``diqkd-bounds curve
+channel --kind KIND --grid 21`` prints.
 
 Run:  python3 demos/channel_capacities.py
 """
 
-import csv
 import pathlib
 
 from diqkd_bounds import channel_curve, dephasing_simulation
+from diqkd_bounds.cli import _curve_csv
 
 OUT = pathlib.Path(__file__).resolve().parent
 
@@ -28,12 +30,7 @@ def main():
         print(f"  {p:.2f}   " + "     ".join(f"{v:.5f}" for v in vals))
 
     for kind, curve in curves.items():
-        path = OUT / f"channel_{kind}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["param", "omega", "qber", "value"])
-            for s in curve.samples:
-                w.writerow([f"{v:.12g}" for v in (s.param, s.omega, s.qber, s.value)])
+        (OUT / f"channel_{kind}.csv").write_text(_curve_csv(curve))
     print("\nwrote channel_{dephasing,depolarizing,erasure}.csv")
 
     print("\ndephasing-simulation verification")

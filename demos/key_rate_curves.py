@@ -6,36 +6,31 @@ convex-combination attack), their convex hull, and the two relative-entropy
 bounds.  Writes one CSV per curve next to this script and prints a compact
 table.
 
-Run:  python3 demos/key_rate_curves.py [grid_size]
+The CSVs are written in the CLI's format, so the committed ones are what
+``diqkd-bounds curve NAME --grid 17`` prints.
+
+Run:  python3 demos/key_rate_curves.py [grid_size]   (default 17)
 """
 
-import csv
 import pathlib
 import sys
 
 from diqkd_bounds import bound_curve
 from diqkd_bounds.bounds import _hull_bridge
+from diqkd_bounds.cli import _curve_csv
 
 OUT = pathlib.Path(__file__).resolve().parent
 
 
-def write_curve(curve, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["param", "omega", "qber", "value"])
-        for s in curve.samples:
-            w.writerow([f"{v:.12g}" for v in (s.param, s.omega, s.qber, s.value)])
-
-
 def main():
-    grid = int(sys.argv[1]) if len(sys.argv) > 1 else 33
+    grid = int(sys.argv[1]) if len(sys.argv) > 1 else 17
     print(f"sampling bound curves on a {grid}-point isotropic-noise grid")
     curves = {name: bound_curve(name, grid=grid) for name in
               ("al", "fbjl", "hull", "fractional", "pironio")}
 
     for name, curve in curves.items():
         path = OUT / f"curve_{name}.csv"
-        write_curve(curve, path)
+        path.write_text(_curve_csv(curve))
         print(f"  wrote {path.name}")
 
     print("\n  nu      omega   al       fbjl     hull     fractional pironio")

@@ -91,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(run=_run_curve)
     curve.add_argument("name", choices=[*CURVES, "channel"])
     curve.add_argument("--grid", type=int, default=64)
-    curve.add_argument("--axis", choices=["nu", "omega"], default="nu")
-    curve.add_argument("--min", type=float, default=None, dest="lo")
-    curve.add_argument("--max", type=float, default=None, dest="hi")
+    curve.add_argument("--axis", choices=["nu", "omega"], help="named curves only (default nu)")
+    curve.add_argument("--min", type=float, dest="lo", help="named curves only")
+    curve.add_argument("--max", type=float, dest="hi", help="named curves only")
     curve.add_argument("--kind", choices=["dephasing", "depolarizing", "erasure"],
                        help="channel kind (curve channel only)")
-    curve.add_argument("--p-min", type=float, default=0.0)
-    curve.add_argument("--p-max", type=float, default=1.0)
+    curve.add_argument("--p-min", type=float, help="curve channel only (default 0)")
+    curve.add_argument("--p-max", type=float, help="curve channel only (default 1)")
     curve.add_argument("--format", choices=["csv", "json"], default="csv")
     curve.add_argument("--seed", type=int, default=0,
                        help="accepted for compatibility; reaches no curve")
@@ -134,15 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# keyword of `bound_curve` or `channel_curve` -> (its flag, read by `curve channel`)
+_CURVE_OPTIONS = {"axis": ("--axis", False), "lo": ("--min", False), "hi": ("--max", False),
+                  "kind": ("--kind", True), "p_min": ("--p-min", True), "p_max": ("--p-max", True)}
+
+
 def _run_curve(args) -> str:
-    if args.name == "channel":
-        if not args.kind:
-            raise SystemExit("error: curve channel requires --kind")
-        curve = channel_curve(args.kind, grid=args.grid, p_min=args.p_min,
-                              p_max=args.p_max)
-    else:
-        curve = bound_curve(args.name, grid=args.grid, lo=args.lo, hi=args.hi,
-                            axis=args.axis)
+    channel = args.name == "channel"
+    given = {d: getattr(args, d) for d in _CURVE_OPTIONS if getattr(args, d) is not None}
+    for flag, for_channel in map(_CURVE_OPTIONS.get, given):
+        if for_channel != channel:
+            raise SystemExit(f"error: {flag} does not apply to curve {args.name}")
+    if channel and "kind" not in given:
+        raise SystemExit("error: curve channel requires --kind")
+    curve = (channel_curve(grid=args.grid, **given) if channel
+             else bound_curve(args.name, grid=args.grid, **given))
     return _curve_csv(curve) if args.format == "csv" else _curve_json(curve)
 
 

@@ -60,6 +60,7 @@ class Descent(NamedTuple):
     fun: float  # objective at the last evaluated point
     nfev: int  # objective evaluations
     nit: int  # L-BFGS-B iterations
+    least: float  # least value evaluated: a NaN never counts, and inf if none is a number
 
 
 @functools.cache
@@ -88,11 +89,13 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
     ``_lbfgsb.setulb`` as ``scipy.optimize.minimize(fun, x0, jac=True,
     method="L-BFGS-B")`` does with ftol 1e-14, gtol 1e-10 and its default
     memory, line-search and evaluation limits: the same arguments and
-    workspaces, one evaluation at x0 first, a repeated request for the last
-    evaluated point answered from it (scipy's cache), a copy of x passed to
-    ``fun``, and the same stops.  Every iterate, the value and both counters
-    are therefore scipy's bit for bit, without the wrapper layers that cost
-    as much as the objective.  ``setulb`` is private scipy API: a test in
+    workspaces, x0 evaluated at the routine's first request (its start reads
+    neither f nor g), a repeated request for the last evaluated point
+    answered from it (scipy's cache), a copy of x passed to ``fun``, and the
+    same stops.  Every iterate, the value and both counters are therefore
+    scipy's bit for bit, without the wrapper layers that cost as much as the
+    objective.  ``least``, the one field scipy lacks, is the running minimum
+    that `_descend` reads.  ``setulb`` is private scipy API: a test in
     tests/test_measures.py compares whole runs with scipy's public driver, so
     a scipy release that changes the routine fails there.
 
@@ -111,9 +114,7 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
     maxiter = options["maxiter"]
     x = np.array(x0, dtype=np.float64).reshape(-1)
     n, m = x.size, _LBFGSB_MEMORY
-    value, grad = fun(x.copy())
-    f, g, evaluated = float(value), np.array(grad, dtype=np.float64), x.copy()
-    nfev, nit = 1, 0
+    f, g, least, nfev, nit = 0.0, np.zeros(n), math.inf, 0, 0
     bound, nbd = np.zeros(n), np.zeros(n, dtype=np.int32)  # no bounds on any variable
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, dtype=np.int32)
@@ -124,9 +125,10 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
         _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, factr, _GTOL, wa, iwa, task,
                        lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == 3:  # FG: f and g wanted at x
-            if not np.array_equal(x, evaluated):
+            if nfev == 0 or not np.array_equal(x, evaluated):
                 value, grad = fun(x.copy())
                 f, g, evaluated = float(value), np.array(grad, dtype=np.float64), x.copy()
+                least = f if f < least else least
                 nfev += 1
         elif task[0] == 1:  # NEW_X: an iteration is done
             nit += 1
@@ -138,7 +140,13 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
             elif nfev > _LBFGSB_MAXFUN:
                 task[:] = 5, 502  # STOP: evaluation limit
         else:  # converged, stopped or failed
-            return Descent(x, f, nfev, nit)
+            return Descent(x, f, nfev, nit, least)
+
+
+def _descend(fun, starts, maxiter: int) -> float:
+    """Least value of one run per start, in order, of the module-level (patchable) `minimize`."""
+    return min(minimize(fun, x0, jac=True, method="L-BFGS-B",
+                        options={"maxiter": maxiter}).least for x0 in starts)
 
 
 def er_isotropic_closed(omega: float) -> float:
@@ -248,22 +256,20 @@ def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
             groups.append([e])
     if len(groups) == p.shape[2]:
         return p
-    merged = np.stack([p[:, :, g].sum(axis=2) for g in groups], axis=2)
-    return merged
+    return np.stack([p[:, :, g].sum(axis=2) for g in groups], axis=2)
 
 
 class _IntrinsicObjective:
     """I(A:B|F) after Eve's channel rows = theta**2 / (row sums), with its exact gradient.
 
     Every theta gives a stochastic matrix, so every evaluated value is a
-    valid upper bound on the intrinsic information; the lowest one is kept.
+    valid upper bound on the intrinsic information.
     """
 
     def __init__(self, p: np.ndarray):
         self.p = p
         n_a, n_b, n_e = p.shape
         self.n_e = n_e
-        self.best = math.inf
         # q(a,b,f), q(a,f), q(b,f) and q(f) lie side by side in one buffer, so
         # one floor, one log2 and one product cover all four tables; each
         # evaluation overwrites every entry of the workspace
@@ -303,8 +309,6 @@ class _IntrinsicObjective:
         g_q += l_f
         g_q -= l_af
         g_q -= l_bf
-        if value < self.best:
-            self.best = value
         g_rows = np.einsum("abe,abf->ef", self.p, g_q, out=self._g_rows)
         np.add.reduce(np.multiply(g_rows, rows, out=self._g_terms), axis=1, keepdims=True,
                       out=self._g_mean)
@@ -501,15 +505,10 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
 
     # start from the best maps that split Eve's alphabet differently
     starts = [maps[i] for i in _distinct_splits(maps, np.argsort(det_values, kind="stable"))]
-    starts = [starts[i % len(starts)] for i in range(_INTRINSIC_RESTARTS)]
-    objective = _IntrinsicObjective(p)
-    for g in starts:
-        theta0 = np.zeros((n_e, n_e))
-        theta0[np.arange(n_e), g] = 1.0
-        theta0 = theta0 + 0.15 * rng.standard_normal((n_e, n_e))
-        minimize(objective.value_and_grad, theta0.reshape(-1), jac=True,
-                 method="L-BFGS-B", options={"maxiter": INTRINSIC_REFINE_ITERS})
-    return max(min(best, objective.best), 0.0)
+    thetas = ((np.eye(n_e)[g] + 0.15 * rng.standard_normal((n_e, n_e))).reshape(-1)
+              for g in itertools.islice(itertools.cycle(starts), _INTRINSIC_RESTARTS))
+    refined = _descend(_IntrinsicObjective(p).value_and_grad, thetas, INTRINSIC_REFINE_ITERS)
+    return max(min(best, refined), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +534,6 @@ class _ErObjective:
         self.k = k
         self.rho = rho.matrix
         self.neg_entropy = -entropy_of_eigenvalues(rho.spectrum.eigenvalues)  # sum lam log2 lam
-        self.best = math.inf
 
     @property
     def n_params(self) -> int:
@@ -572,8 +570,6 @@ class _ErObjective:
         r = u.conj().T @ self.rho @ u
         r_diag = np.clip(np.real(np.diag(r)), 0.0, None)
         value = self.neg_entropy - float(np.dot(r_diag, np.log2(mu)))
-        if value < self.best:
-            self.best = value
 
         # gradient of tr(rho log2 sigma) via the divided-difference kernel
         log_mu = np.log(mu)
@@ -641,9 +637,6 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
     if k < 1 or restarts < 1:
         raise ValueError(f"ensemble size {k} and restarts {restarts} must be positive")
     obj = _ErObjective(rho, k)
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        theta0 = rng.standard_normal(obj.n_params)
-        minimize(obj.value_and_grad, theta0, jac=True, method="L-BFGS-B",
-                 options={"maxiter": _ER_MAXITER})
-    return max(obj.best, 0.0)
+    starts = (np.random.default_rng([seed, r]).standard_normal(obj.n_params)
+              for r in range(restarts))
+    return max(_descend(obj.value_and_grad, starts, _ER_MAXITER), 0.0)

@@ -209,6 +209,21 @@ def test_channel_requires_kind(capsys):
     assert err == "error: curve channel requires --kind\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["al", "--kind", "erasure"], "--kind"),
+    (["hull", "--p-min", "0.1"], "--p-min"),
+    (["fbjl", "--axis", "nu", "--p-max", "0.5"], "--p-max"),
+    (["channel", "--kind", "dephasing", "--axis", "omega", "--min", "5"], "--axis"),
+    (["channel", "--kind", "erasure", "--min", "0.1"], "--min"),
+    (["channel", "--max", "0.2"], "--max"),
+])
+def test_curve_option_of_the_other_kind_is_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "curve", *argv, "--grid", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} does not apply to curve {argv[0]}\n"
+
+
 @pytest.mark.parametrize("command", ["curve", "er", "localweight", "device", "simulate"])
 def test_unwritable_output_is_one_line_error(tmp_path, capsys, command):
     state_path = tmp_path / "state.json"

@@ -35,6 +35,7 @@ from diqkd_bounds import (
     von_neumann_entropy,
 )
 from diqkd_bounds import measures
+from diqkd_bounds.cli import _curve_csv
 from diqkd_bounds.measures import TWO_SQRT2, _ErObjective, _IntrinsicObjective
 from diqkd_bounds.states import PAULI_Z
 from util import loop_cmi, random_density
@@ -746,24 +747,30 @@ def recorded_descents(monkeypatch, call) -> list[tuple]:
 
 
 def assert_scipy_descent(fun, x0, maxiter) -> int:
-    """measures.minimize from x0 is scipy's public L-BFGS-B run bit for bit; returns nit."""
+    """measures.minimize from x0 is scipy's public L-BFGS-B run bit for bit; returns nit.
+
+    Its ``least`` is the least value of every evaluation of the run.
+    """
     from scipy.optimize import minimize as scipy_minimize
 
-    def traced(points):
+    def traced(points, values):
         def wrapped(x):
             points.append(x.tobytes())
-            return fun(x)
+            value, grad = fun(x)
+            values.append(value)
+            return value, grad
         return wrapped
 
-    ours, theirs = [], []
-    res = measures.minimize(traced(ours), x0, jac=True, method="L-BFGS-B",
+    ours, theirs, values = [], [], []
+    res = measures.minimize(traced(ours, values), x0, jac=True, method="L-BFGS-B",
                             options={"maxiter": maxiter})
-    ref = scipy_minimize(traced(theirs), x0, jac=True, method="L-BFGS-B",
+    ref = scipy_minimize(traced(theirs, []), x0, jac=True, method="L-BFGS-B",
                          options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
     assert ours == theirs  # every evaluated point, in order
     assert res.x.tobytes() == ref.x.tobytes()
     assert float.hex(res.fun) == float.hex(float(ref.fun))
     assert (res.nfev, res.nit) == (ref.nfev, ref.nit)
+    assert float.hex(res.least) == float.hex(float(min(values)))
     return res.nit
 
 
@@ -792,11 +799,44 @@ def quadratic(x):
     return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
 
 
+def dipped(x):
+    """x**2/4 - x with a Gaussian dip at 0.8.
+
+    From 0, L-BFGS-B first tries 1, steps back, and ends at the local minimum
+    2, above the value it saw at 1.
+    """
+    dip = np.exp(-((x - 0.8) / 0.2) ** 2)
+    return float(np.sum(x * x / 4 - x - dip)), x / 2 - 1 + dip * (x - 0.8) / 0.02
+
+
 def test_minimize_returns_what_the_tracer_reads():
-    res = measures.minimize(quadratic, np.zeros(3), jac=True, method="L-BFGS-B",
-                            options={"maxiter": 50})
+    values = []
+
+    def traced(fun):
+        def wrapped(x):
+            value, grad = fun(x)
+            values.append(value)
+            return value, grad
+        return wrapped
+
+    def run(fun, x0):
+        values.clear()
+        return measures.minimize(fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": 50})
+
+    res = run(traced(quadratic), np.zeros(3))
     assert np.allclose(res.x, 1.0) and res.fun < 1e-12
     assert res.nfev >= 2 and res.nit >= 1
+    assert len(values) == res.nfev and float.hex(res.least) == float.hex(min(values))
+    # the least value can be a line-search trial that never becomes an iterate
+    res = run(traced(dipped), np.zeros(1))
+    assert float.hex(res.least) == float.hex(min(values)) and res.least < res.fun
+    # a NaN never counts, not even at x0, where the run goes on and converges
+    res = run(lambda x: traced(quadratic)(x) if x.any() else (math.nan, 2.0 * (x - 1.0)),
+              np.zeros(3))
+    assert res.nit >= 1 and float.hex(res.least) == float.hex(min(values))
+    # started at the minimum, the run stops with no iteration, and x0 counts
+    assert run(quadratic, np.ones(3))[2:] == (1, 0, 0.0)
+    assert run(lambda x: (math.nan, 0.0 * x), np.zeros(3)).least == math.inf
 
 
 @pytest.mark.parametrize("method, jac, options", [
@@ -870,7 +910,4 @@ def test_committed_demo_curves_reproduce(name):
         curve, csv = channel_curve(name.removeprefix("channel_"), grid=21), f"{name}.csv"
     else:
         curve, csv = bound_curve(name, grid=17), f"curve_{name}.csv"
-    rows = (DEMOS / csv).read_text().splitlines()[1:]
-    assert len(rows) == len(curve.samples)
-    for row, s in zip(rows, curve.samples):
-        assert row.split(",") == [f"{v:.12g}" for v in (s.param, s.omega, s.qber, s.value)]
+    assert (DEMOS / csv).read_bytes() == _curve_csv(curve).encode()
