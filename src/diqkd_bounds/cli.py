@@ -230,7 +230,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numerical or I/O failure
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0

@@ -53,14 +53,23 @@ _LBFGSB_MAXLS = 20  # line-search steps per iteration
 _LBFGSB_MAXFUN = 15_000  # evaluations past which the next iteration stops a run
 
 
-class Descent(NamedTuple):
-    """What `minimize` returns: the fields of scipy's result that callers read."""
+class Run(NamedTuple):
+    """One start's run in `minimize`: the fields of scipy's result that callers read."""
 
     x: np.ndarray  # final iterate
     fun: float  # objective at the last evaluated point
     nfev: int  # objective evaluations
     nit: int  # L-BFGS-B iterations
     least: float  # least value evaluated: a NaN never counts, and inf if none is a number
+
+
+class Descent(NamedTuple):
+    """What `minimize` returns: one `Run` per start, in order, and their totals."""
+
+    runs: tuple[Run, ...]
+    nfev: int  # evaluations of every run, the count the benchmark's tracer reads
+    nit: int  # iterations of every run, likewise
+    least: float  # least value of every run
 
 
 @functools.cache
@@ -83,70 +92,103 @@ def _lbfgsb_routine():
 
 
 def minimize(fun, x0, *, jac, method, options) -> Descent:
-    """Unbounded L-BFGS-B on ``fun(x) -> (value, gradient)``: scipy's routine, driven directly.
+    """Unbounded L-BFGS-B from each row of ``x0`` in lockstep: scipy's routine, driven directly.
 
-    The loop answers the reverse-communication calls of scipy's compiled
-    ``_lbfgsb.setulb`` as ``scipy.optimize.minimize(fun, x0, jac=True,
-    method="L-BFGS-B")`` does with ftol 1e-14, gtol 1e-10 and its default
-    memory, line-search and evaluation limits: the same arguments and
-    workspaces, x0 evaluated at the routine's first request (its start reads
-    neither f nor g), a repeated request for the last evaluated point
-    answered from it (scipy's cache), a copy of x passed to ``fun``, and the
-    same stops.  Every iterate, the value and both counters are therefore
-    scipy's bit for bit, without the wrapper layers that cost as much as the
-    objective.  ``least``, the one field scipy lacks, is the running minimum
-    that `_descend` reads.  ``setulb`` is private scipy API: a test in
+    ``fun(X) -> (values, gradients)`` takes a (k, n) block of points and
+    returns their k values and (k, n) gradients, row i computed from row i
+    of X alone.  Each start keeps its own state of scipy's compiled
+    ``_lbfgsb.setulb``.  Every round advances each running start until it
+    asks for f and g at a new point or stops, and one call of ``fun``
+    answers all the asks, so the block shrinks as runs stop; a single start
+    is a block of one row.
+
+    Each run answers the reverse-communication calls as
+    ``scipy.optimize.minimize(fun, x0[i], jac=True, method="L-BFGS-B")``
+    does with ftol 1e-14, gtol 1e-10 and its default memory, line-search and
+    evaluation limits: the same arguments and workspaces, x0 evaluated at
+    the routine's first request (its start reads neither f nor g), a
+    repeated request for the last evaluated point answered from it (scipy's
+    cache), a copy of x passed to ``fun``, and the same stops.  Every
+    iterate, the value and both counters of a run are therefore scipy's bit
+    for bit, without the wrapper layers that cost as much as the objective.
+    ``least``, the one field scipy lacks, is the running minimum that
+    `_descend` reads.  ``setulb`` is private scipy API: a test in
     tests/test_measures.py compares whole runs with scipy's public driver, so
     a scipy release that changes the routine fails there.
 
-    The call keeps scipy's form, whose ``method`` and result counters the
-    benchmark's tracer reads; ``options`` holds ``maxiter`` alone.  Any other
-    method, jac or option raises ValueError, never ignored.  Only the
-    compiled routine is loaded, by file (`_lbfgsb_routine`): importing
-    scipy.optimize runs the whole package (linprog, HiGHS, scipy.linalg,
-    scipy.fft, ...), ~550 ms in a fresh process against ~3.5 ms for the
-    extension.
+    The call keeps scipy's form, whose ``method`` and result counters (the
+    totals over the runs) the benchmark's tracer reads; ``options`` holds
+    ``maxiter`` alone.  Any other method, jac or option, or an ``x0`` that
+    is not a block, raises ValueError, never ignored.  Only the compiled
+    routine is loaded, by file (`_lbfgsb_routine`): importing scipy.optimize
+    runs the whole package (linprog, HiGHS, scipy.linalg, scipy.fft, ...),
+    ~550 ms in a fresh process against ~3.5 ms for the extension.
     """
-    if method != "L-BFGS-B" or jac is not True or set(options) != {"maxiter"}:
-        raise ValueError("minimize runs L-BFGS-B on fun(x) -> (value, gradient): it takes "
-                         "method='L-BFGS-B', jac=True and options={'maxiter': n} only")
+    x = np.array(x0, dtype=np.float64)  # one start per row, each row setulb's iterate
+    if (method != "L-BFGS-B" or jac is not True or set(options) != {"maxiter"}
+            or x.ndim != 2 or not x.size):
+        raise ValueError("minimize runs L-BFGS-B on fun(X) -> (values, gradients) from the "
+                         "rows of a (k, n) block x0: it takes method='L-BFGS-B', jac=True "
+                         "and options={'maxiter': n} only")
     _lbfgsb = _lbfgsb_routine()
     maxiter = options["maxiter"]
-    x = np.array(x0, dtype=np.float64).reshape(-1)
-    n, m = x.size, _LBFGSB_MEMORY
-    f, g, least, nfev, nit = 0.0, np.zeros(n), math.inf, 0, 0
+    (k, n), m = x.shape, _LBFGSB_MEMORY
+    g, evaluated = np.zeros((2, k, n))
+    f, least, nfev, nit = [0.0] * k, [math.inf] * k, [0] * k, [0] * k
     bound, nbd = np.zeros(n), np.zeros(n, dtype=np.int32)  # no bounds on any variable
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
-    lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
+    wa = np.zeros((k, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((k, 3 * n), dtype=np.int32)
+    task, ln_task = np.zeros((2, k, 2), dtype=np.int32)
+    lsave, isave = np.zeros((k, 4), dtype=np.int32), np.zeros((k, 44), dtype=np.int32)
+    dsave = np.zeros((k, 29))
     factr = _FTOL / np.finfo(float).eps
-    while True:
-        _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, factr, _GTOL, wa, iwa, task,
-                       lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
-        if task[0] == 3:  # FG: f and g wanted at x
-            if nfev == 0 or not np.array_equal(x, evaluated):
-                value, grad = fun(x.copy())
-                f, g, evaluated = float(value), np.array(grad, dtype=np.float64), x.copy()
-                least = f if f < least else least
-                nfev += 1
-        elif task[0] == 1:  # NEW_X: an iteration is done
-            nit += 1
-            # scipy's evaluation cap, checked where it checks it; a line search
-            # that fails and restarts lets one iteration take 2 * (maxls + 1)
-            # evaluations, so 400 iterations could pass it
-            if nit >= maxiter:
-                task[:] = 5, 504  # STOP: iteration limit
-            elif nfev > _LBFGSB_MAXFUN:
-                task[:] = 5, 502  # STOP: evaluation limit
-        else:  # converged, stopped or failed
-            return Descent(x, f, nfev, nit, least)
+    # each run's rows of the workspaces, which setulb updates in place
+    rows = list(zip(x, g, evaluated, wa, iwa, task, lsave, isave, dsave, ln_task))
+    setulb, gtol, maxls = _lbfgsb.setulb, _GTOL, _LBFGSB_MAXLS
+    running = range(k)
+    while running:
+        asking = []
+        for i in running:
+            x_i, g_i, evaluated_i, wa_i, iwa_i, task_i, lsave_i, isave_i, dsave_i, ln_i = rows[i]
+            while True:
+                setulb(m, x_i, bound, bound, nbd, f[i], g_i, factr, gtol, wa_i, iwa_i,
+                       task_i, lsave_i, isave_i, dsave_i, maxls, ln_i)
+                state = task_i[0]
+                if state == 3:  # FG: f and g wanted at x
+                    # scipy's cache test, np.array_equal, for a point that differs
+                    # from the last evaluated one in its first coordinate (the
+                    # usual case) in a tenth of the time
+                    if nfev[i] == 0 or x_i[0] != evaluated_i[0] or not (x_i == evaluated_i).all():
+                        asking.append(i)
+                        break
+                elif state == 1:  # NEW_X: an iteration is done
+                    nit[i] += 1
+                    # scipy's evaluation cap, checked where it checks it; a line search
+                    # that fails and restarts lets one iteration take 2 * (maxls + 1)
+                    # evaluations, so 400 iterations could pass it
+                    if nit[i] >= maxiter:
+                        task_i[:] = 5, 504  # STOP: iteration limit
+                    elif nfev[i] > _LBFGSB_MAXFUN:
+                        task_i[:] = 5, 502  # STOP: evaluation limit
+                else:  # converged, stopped or failed
+                    break
+        if asking:
+            block = x[asking]
+            evaluated[asking] = block
+            values, grads = fun(block)
+            g[asking] = grads
+            for i, value in zip(asking, np.asarray(values, dtype=np.float64).tolist()):
+                f[i], least[i] = value, value if value < least[i] else least[i]
+                nfev[i] += 1
+        running = asking
+    runs = tuple(map(Run, x, f, nfev, nit, least))
+    return Descent(runs, sum(nfev), sum(nit), min(least))
 
 
-def _descend(fun, starts, maxiter: int) -> float:
-    """Least value of one run per start, in order, of the module-level (patchable) `minimize`."""
+def _descend(fun, blocks, maxiter: int) -> float:
+    """Least value of one call of the module-level (patchable) `minimize` per block of starts."""
     return min(minimize(fun, x0, jac=True, method="L-BFGS-B",
-                        options={"maxiter": maxiter}).least for x0 in starts)
+                        options={"maxiter": maxiter}).least for x0 in blocks)
 
 
 def er_isotropic_closed(omega: float) -> float:
@@ -263,60 +305,69 @@ class _IntrinsicObjective:
     """I(A:B|F) after Eve's channel rows = theta**2 / (row sums), with its exact gradient.
 
     Every theta gives a stochastic matrix, so every evaluated value is a
-    valid upper bound on the intrinsic information.
+    valid upper bound on the intrinsic information.  `value_and_grad` takes
+    a block of thetas, one per row and at most one per restart.
     """
 
     def __init__(self, p: np.ndarray):
         self.p = p
         n_a, n_b, n_e = p.shape
         self.n_e = n_e
-        # q(a,b,f), q(a,f), q(b,f) and q(f) lie side by side in one buffer, so
-        # one floor, one log2 and one product cover all four tables; each
-        # evaluation overwrites every entry of the workspace
+        # each theta's q(a,b,f), q(a,f), q(b,f) and q(f) lie side by side in one
+        # row of a buffer, so one floor, one log2 and one product cover all four
+        # tables of every theta; each evaluation overwrites every entry of the
+        # rows it uses, and every reduction runs within one row, so a theta gets
+        # the same bits whatever block it comes in
         shapes = [(n_a, n_b, n_e), (n_a, 1, n_e), (1, n_b, n_e), (1, 1, n_e)]
         ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
         spans = list(zip([0] + ends[:-1], ends))
-        self._cells, self._logs, self._terms = np.empty((3, ends[-1]))
-        self._tables = [self._cells[i:j].reshape(shape) for (i, j), shape in zip(spans, shapes)]
-        self._log_tables = [self._logs[i:j].reshape(shape) for (i, j), shape in zip(spans, shapes)]
-        self._term_spans = [self._terms[i:j] for i, j in spans]
-        self._rows, self._g_rows, self._g_terms = np.empty((3, n_e, n_e))
-        self._s, self._g_mean = np.empty((2, n_e, 1))
+        cells, logs, terms = np.empty((3, _INTRINSIC_RESTARTS, ends[-1]))
+        rows, g_rows, g_terms = np.empty((3, _INTRINSIC_RESTARTS, n_e, n_e))
+        s, g_mean = np.empty((2, _INTRINSIC_RESTARTS, n_e, 1))
+        # the workspace views of a block of k thetas, at index k - 1
+        self._views = [(
+            cells[:k], logs[:k], terms[:k],
+            [cells[:k, i:j].reshape(k, *shape) for (i, j), shape in zip(spans, shapes)],
+            [logs[:k, i:j].reshape(k, *shape) for (i, j), shape in zip(spans, shapes)],
+            [terms[:k, i:j] for i, j in spans],
+            rows[:k], g_rows[:k], g_terms[:k], s[:k], g_mean[:k],
+        ) for k in range(1, _INTRINSIC_RESTARTS + 1)]
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = theta.reshape(self.n_e, self.n_e)
-        rows, s = self._rows, self._s
+    def value_and_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k = len(theta)
+        theta = theta.reshape(k, self.n_e, self.n_e)
+        (cells, logs, terms, tables, log_tables, term_spans,
+         rows, g_rows, g_terms, s, g_mean) = self._views[k - 1]
         np.multiply(theta, theta, out=rows)
-        np.maximum(np.add.reduce(rows, axis=1, keepdims=True, out=s), 1e-300, out=s)
+        np.maximum(np.add.reduce(rows, axis=2, keepdims=True, out=s), 1e-300, out=s)
         rows /= s
-        q, q_af, q_bf, q_f = self._tables
-        np.einsum("abe,ef->abf", self.p, rows, out=q)
-        np.add.reduce(q, axis=1, keepdims=True, out=q_af)
-        np.add.reduce(q, axis=0, keepdims=True, out=q_bf)
-        np.add.reduce(q, axis=(0, 1), keepdims=True, out=q_f)
+        q, q_af, q_bf, q_f = tables
+        np.einsum("abe,kef->kabf", self.p, rows, out=q)
+        np.add.reduce(q, axis=2, keepdims=True, out=q_af)
+        np.add.reduce(q, axis=1, keepdims=True, out=q_bf)
+        np.add.reduce(q, axis=(1, 2), keepdims=True, out=q_f)
 
         # I = H(AF) + H(BF) - H(ABF) - H(F) over every cell: a support cutoff
         # would drop the tiny cells the optimizer drives toward and report
         # values below what the channel gives
-        logs = self._logs
-        np.log2(np.maximum(self._cells, 1e-300, out=logs), out=logs)
-        np.multiply(self._cells, logs, out=self._terms)
-        h_abf, h_af, h_bf, h_f = (float(np.add.reduce(t)) for t in self._term_spans)
-        value = h_abf + h_f - h_af - h_bf
+        np.log2(np.maximum(cells, 1e-300, out=logs), out=logs)
+        np.multiply(cells, logs, out=terms)
+        h_abf, h_af, h_bf, h_f = (np.add.reduce(t, axis=1) for t in term_spans)
+        values = h_abf + h_f - h_af - h_bf
         # dI/dq(abf) in bits, built in place of log2 q(a,b,f); the -1/ln2
         # terms of the four entropies cancel
-        g_q, l_af, l_bf, l_f = self._log_tables
+        g_q, l_af, l_bf, l_f = log_tables
         g_q += l_f
         g_q -= l_af
         g_q -= l_bf
-        g_rows = np.einsum("abe,abf->ef", self.p, g_q, out=self._g_rows)
-        np.add.reduce(np.multiply(g_rows, rows, out=self._g_terms), axis=1, keepdims=True,
-                      out=self._g_mean)
-        g_rows -= self._g_mean
+        np.einsum("abe,kabf->kef", self.p, g_q, out=g_rows)
+        np.add.reduce(np.multiply(g_rows, rows, out=g_terms), axis=2, keepdims=True,
+                      out=g_mean)
+        g_rows -= g_mean
         g_rows /= s
         grad = 2.0 * theta
         grad *= g_rows
-        return value, grad.reshape(-1)
+        return values, grad.reshape(k, -1)
 
 
 def _bell(n: int) -> int:
@@ -471,8 +522,10 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     subset's term of I(A:B|F), and the maps screened near the best splits
     are re-scored exactly.  Then L-BFGS-B with the exact gradient on the
     stochastic-matrix parametrization, from the 4 best deterministic maps
-    that split Eve's alphabet differently.  Refinement is skipped when a
-    deterministic map already gives exactly 0.  The result is a certified
+    that split Eve's alphabet differently: the 4 runs go in lockstep through
+    `minimize`, one objective call answering every run that asks in a round,
+    and each run is the one it would be alone, bit for bit.  Refinement is
+    skipped when a deterministic map already gives exactly 0.  The result is a certified
     upper bound on the true minimum and never exceeds the unprocessed
     I(A:B|E).
 
@@ -504,10 +557,12 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
         return best
 
     # start from the best maps that split Eve's alphabet differently
-    starts = [maps[i] for i in _distinct_splits(maps, np.argsort(det_values, kind="stable"))]
-    thetas = ((np.eye(n_e)[g] + 0.15 * rng.standard_normal((n_e, n_e))).reshape(-1)
-              for g in itertools.islice(itertools.cycle(starts), _INTRINSIC_RESTARTS))
-    refined = _descend(_IntrinsicObjective(p).value_and_grad, thetas, INTRINSIC_REFINE_ITERS)
+    # (cycled when there are fewer), all descending in one lockstep block
+    firsts = _distinct_splits(maps, np.argsort(det_values, kind="stable"))
+    starts = maps[np.resize(firsts, _INTRINSIC_RESTARTS)]
+    thetas = np.eye(n_e)[starts] + 0.15 * rng.standard_normal((len(starts), n_e, n_e))
+    refined = _descend(_IntrinsicObjective(p).value_and_grad,
+                       [thetas.reshape(len(starts), -1)], INTRINSIC_REFINE_ITERS)
     return max(min(best, refined), 0.0)
 
 
@@ -605,6 +660,12 @@ class _ErObjective:
         ])
         return value, grad
 
+    def block_value_and_grad(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`value_and_grad` of a block of one theta, in the form `minimize` calls."""
+        (theta,) = block
+        value, grad = self.value_and_grad(theta)
+        return np.array([value]), grad[None]
+
 
 def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
                seed: int = 0) -> float:
@@ -637,6 +698,7 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
     if k < 1 or restarts < 1:
         raise ValueError(f"ensemble size {k} and restarts {restarts} must be positive")
     obj = _ErObjective(rho, k)
-    starts = (np.random.default_rng([seed, r]).standard_normal(obj.n_params)
+    # one descent per restart, each a block of one start
+    starts = (np.random.default_rng([seed, r]).standard_normal((1, obj.n_params))
               for r in range(restarts))
-    return max(_descend(obj.value_and_grad, starts, _ER_MAXITER), 0.0)
+    return max(_descend(obj.block_value_and_grad, starts, _ER_MAXITER), 0.0)

@@ -267,6 +267,17 @@ def test_curve_argument_outside_domain_is_numerical_error(capsys, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["hull"], ["channel", "--kind", "depolarizing"]])
+def test_curve_grid_too_large_to_allocate_is_numerical_error(capsys, argv):
+    # numpy refuses 10**11 float64 points (745 GiB) at once, before any
+    # allocation; a grid that could really be allocated would exhaust memory
+    code, out, err = run_cli(capsys, "curve", *argv, "--grid", str(10**11))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_localweight_nan_behavior_is_one_line_error(tmp_path, capsys):
     table = [[[[0.25] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
     table[1][0][0][1] = math.nan

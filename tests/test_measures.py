@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -597,15 +598,15 @@ def test_intrinsic_gradient_matches_central_differences():
         rng = np.random.default_rng(100 + n_e)
         p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
         obj = _IntrinsicObjective(p)
-        theta = rng.standard_normal(n_e * n_e)
-        _, grad = obj.value_and_grad(theta)
+        theta = rng.standard_normal((1, n_e * n_e))
+        grad = obj.value_and_grad(theta)[1][0]
         eps = 1e-6
         num = np.empty_like(grad)
-        for i in range(len(theta)):
+        for i in range(grad.size):
             tp, tm = theta.copy(), theta.copy()
-            tp[i] += eps
-            tm[i] -= eps
-            num[i] = (obj.value_and_grad(tp)[0] - obj.value_and_grad(tm)[0]) / (2 * eps)
+            tp[0, i] += eps
+            tm[0, i] -= eps
+            num[i] = (obj.value_and_grad(tp)[0][0] - obj.value_and_grad(tm)[0][0]) / (2 * eps)
         assert np.linalg.norm(num - grad) < 1e-5 * np.linalg.norm(grad), n_e
 
 
@@ -616,7 +617,7 @@ def test_intrinsic_objective_is_cmi_after_the_channel():
     rows = theta.reshape(4, 4) ** 2
     rows /= rows.sum(axis=1, keepdims=True)
     q = np.einsum("abe,ef->abf", p, rows)
-    assert abs(_IntrinsicObjective(p).value_and_grad(theta)[0] - loop_cmi(q)) < 1e-12
+    assert abs(_IntrinsicObjective(p).value_and_grad(theta[None])[0][0] - loop_cmi(q)) < 1e-12
 
 
 def reference_value_and_grad(p: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -641,12 +642,12 @@ def reference_value_and_grad(p: np.ndarray, theta: np.ndarray) -> tuple[float, n
 
 
 def refined_thetas(p: np.ndarray, seed: int, monkeypatch) -> list[np.ndarray]:
-    """Every theta that L-BFGS-B evaluates in intrinsic_info(p, seed=seed), in order."""
+    """Every theta that L-BFGS-B evaluates in intrinsic_info(p, seed=seed), block by block."""
     thetas = []
 
     class Recording(_IntrinsicObjective):
         def value_and_grad(self, theta):
-            thetas.append(theta.copy())
+            thetas.extend(theta.copy())
             return super().value_and_grad(theta)
 
     with monkeypatch.context() as m:
@@ -669,20 +670,29 @@ def test_intrinsic_objective_matches_reference_bit_for_bit(monkeypatch):
         one_hot = np.zeros((n_e, n_e))
         one_hot[:, 0] = 1.0  # every output but 0 is empty: log2(1e-300) cells
         extremes = [zero_row.reshape(-1), one_hot.reshape(-1)]
-        # one instance sees the recorded run forwards and backwards, interleaved
-        # with the extremes, so no state can carry over from one theta to the next
-        sequence = []
-        for k, pair in enumerate(zip(thetas, reversed(thetas))):
-            sequence.extend(pair)
-            if k % 5 == 0:
-                sequence.append(extremes[k % 2])
+        # one instance sees the recorded run forwards and backwards in blocks of
+        # 4, 3, 2 and 1 rows, in turn with blocks that hold an extreme at each
+        # row position of each size, so no state can carry over from one block,
+        # or from rows that only a larger block used, to the next
+        recorded = [theta for pair in zip(thetas, reversed(thetas)) for theta in pair]
+        plain, sizes = [], itertools.cycle([4, 3, 2, 1])
+        while recorded:
+            size = next(sizes)
+            plain.append(recorded[:size])
+            del recorded[:size]
+        placed = [thetas[:at] + [extreme] + thetas[at + 1:size]
+                  for size in (4, 3, 2, 1) for at in range(size) for extreme in extremes]
+        blocks = [block for pair in itertools.zip_longest(plain, placed) for block in pair
+                  if block is not None]
         objective = _IntrinsicObjective(p)
-        for theta in sequence:
-            value, grad = objective.value_and_grad(theta)
-            ref_value, ref_grad = reference_value_and_grad(p, theta)
-            assert float.hex(value) == float.hex(ref_value)
-            assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
-            assert grad.tobytes() == ref_grad.tobytes()
+        for block in blocks:
+            values, grads = objective.value_and_grad(np.array(block))
+            assert values.shape == (len(block),) and grads.shape == (len(block), n_e * n_e)
+            for theta, value, grad in zip(block, values, grads):
+                ref_value, ref_grad = reference_value_and_grad(p, theta)
+                assert float.hex(float(value)) == float.hex(ref_value)
+                assert grad.dtype == ref_grad.dtype
+                assert grad.tobytes() == ref_grad.tobytes()
 
 
 # objective evaluations one refined intrinsic_info(pin_joint(family, n_e),
@@ -733,80 +743,102 @@ def test_intrinsic_exact_zero_skips_refinement(monkeypatch):
 # --- the L-BFGS-B driver ----------------------------------------------------
 
 def recorded_descents(monkeypatch, call) -> list[tuple]:
-    """(fun, x0, maxiter) of every descent ``call()`` starts, in order."""
-    driver, runs = measures.minimize, []
+    """(fun, block of starts, maxiter) of every descent ``call()`` starts, in order."""
+    driver, descents = measures.minimize, []
 
     def recording(fun, x0, **kwargs):
-        runs.append((fun, np.array(x0), kwargs["options"]["maxiter"]))
+        descents.append((fun, np.array(x0), kwargs["options"]["maxiter"]))
         return driver(fun, x0, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(measures, "minimize", recording)
         call()
-    return runs
+    return descents
 
 
-def assert_scipy_descent(fun, x0, maxiter) -> int:
-    """measures.minimize from x0 is scipy's public L-BFGS-B run bit for bit; returns nit.
+def assert_scipy_descent(fun, x0, maxiter) -> tuple:
+    """Each run of measures.minimize from the rows of x0 is scipy's public
+    L-BFGS-B run from its row, bit for bit; returns the runs.
 
-    Its ``least`` is the least value of every evaluation of the run.
+    The runs still going are asked in lockstep: the j-th call of ``fun``
+    holds, in start order, every run with more than j evaluations.  A run's
+    ``least`` is the least value of its evaluations, and the totals are the
+    sums over the runs.
     """
     from scipy.optimize import minimize as scipy_minimize
 
-    def traced(points, values):
-        def wrapped(x):
-            points.append(x.tobytes())
-            value, grad = fun(x)
-            values.append(value)
-            return value, grad
-        return wrapped
+    blocks, block_values = [], []
 
-    ours, theirs, values = [], [], []
-    res = measures.minimize(traced(ours, values), x0, jac=True, method="L-BFGS-B",
+    def traced(block):
+        values, grads = fun(block)
+        blocks.append(block.copy())
+        block_values.append(np.array(values))
+        return values, grads
+
+    res = measures.minimize(traced, x0, jac=True, method="L-BFGS-B",
                             options={"maxiter": maxiter})
-    ref = scipy_minimize(traced(theirs, []), x0, jac=True, method="L-BFGS-B",
-                         options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
-    assert ours == theirs  # every evaluated point, in order
-    assert res.x.tobytes() == ref.x.tobytes()
-    assert float.hex(res.fun) == float.hex(float(ref.fun))
-    assert (res.nfev, res.nit) == (ref.nfev, ref.nit)
-    assert float.hex(res.least) == float.hex(float(min(values)))
-    return res.nit
+    nfevs = [run.nfev for run in res.runs]
+    assert len(res.runs) == len(x0)
+    assert [len(block) for block in blocks] == [sum(n > j for n in nfevs)
+                                                for j in range(max(nfevs))]
+    assert (res.nfev, res.nit) == (sum(nfevs), sum(run.nit for run in res.runs))
+    assert float.hex(res.least) == float.hex(min(run.least for run in res.runs))
+    for i, (start, run) in enumerate(zip(x0, res.runs)):
+        rows = [(j, sum(n > j for n in nfevs[:i])) for j in range(run.nfev)]
+        ours = [blocks[j][r].tobytes() for j, r in rows]
+        theirs = []
+
+        def single(x):
+            theirs.append(x.tobytes())
+            values, grads = fun(x[None])
+            return values[0], grads[0]
+
+        ref = scipy_minimize(single, start, jac=True, method="L-BFGS-B",
+                             options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
+        assert ours == theirs  # every evaluated point, in order
+        assert run.x.tobytes() == ref.x.tobytes()
+        assert float.hex(run.fun) == float.hex(float(ref.fun))
+        assert (run.nfev, run.nit) == (ref.nfev, ref.nit)
+        assert float.hex(run.least) == float.hex(min(float(block_values[j][r]) for j, r in rows))
+    return res.runs
 
 
 @pytest.mark.parametrize("family", ["copy", "dirichlet"])
 @pytest.mark.parametrize("n_e", [2, 5, 16])
 def test_minimize_is_scipy_lbfgsb_on_intrinsic_refinement(family, n_e, monkeypatch):
     p = pin_joint(family, n_e)
-    runs = recorded_descents(monkeypatch, lambda: intrinsic_info(p, seed=n_e))
-    assert len(runs) == measures._INTRINSIC_RESTARTS
-    nits = [assert_scipy_descent(*run) for run in runs]
+    descents = recorded_descents(monkeypatch, lambda: intrinsic_info(p, seed=n_e))
+    assert len(descents) == 1  # every restart in one lockstep block
+    assert len(descents[0][1]) == measures._INTRINSIC_RESTARTS
+    runs = assert_scipy_descent(*descents[0])
     if (family, n_e) == ("copy", 16):  # runs stopped by the iteration cap are covered
-        assert measures.INTRINSIC_REFINE_ITERS in nits
+        assert measures.INTRINSIC_REFINE_ITERS in [run.nit for run in runs]
+    if (family, n_e) == ("copy", 2):  # and runs that stop in different rounds
+        assert len({run.nfev for run in runs}) == measures._INTRINSIC_RESTARTS
 
 
 @pytest.mark.parametrize("rho", [make_isotropic(0.1),
                                  random_density(np.random.default_rng(29), (2, 3))],
                          ids=["isotropic", "qubit-qutrit"])
 def test_minimize_is_scipy_lbfgsb_on_er_descents(rho, monkeypatch):
-    runs = recorded_descents(monkeypatch, lambda: er_numeric(rho, restarts=2))
-    assert len(runs) == 2
-    for run in runs:
-        assert_scipy_descent(*run)
+    descents = recorded_descents(monkeypatch, lambda: er_numeric(rho, restarts=2))
+    assert [len(x0) for _, x0, _ in descents] == [1, 1]  # one descent per restart
+    for descent in descents:
+        assert_scipy_descent(*descent)
 
 
 def quadratic(x):
-    return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
+    return np.sum((x - 1.0) ** 2, axis=1), 2.0 * (x - 1.0)
 
 
 def dipped(x):
-    """x**2/4 - x with a Gaussian dip at 0.8.
+    """x**2/4 - x with a Gaussian dip at 0.8, on each row of a block.
 
     From 0, L-BFGS-B first tries 1, steps back, and ends at the local minimum
     2, above the value it saw at 1.
     """
     dip = np.exp(-((x - 0.8) / 0.2) ** 2)
-    return float(np.sum(x * x / 4 - x - dip)), x / 2 - 1 + dip * (x - 0.8) / 0.02
+    return np.sum(x * x / 4 - x - dip, axis=1), x / 2 - 1 + dip * (x - 0.8) / 0.02
 
 
 def test_minimize_returns_what_the_tracer_reads():
@@ -815,7 +847,7 @@ def test_minimize_returns_what_the_tracer_reads():
     def traced(fun):
         def wrapped(x):
             value, grad = fun(x)
-            values.append(value)
+            values.extend(value.tolist())
             return value, grad
         return wrapped
 
@@ -823,20 +855,57 @@ def test_minimize_returns_what_the_tracer_reads():
         values.clear()
         return measures.minimize(fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": 50})
 
-    res = run(traced(quadratic), np.zeros(3))
-    assert np.allclose(res.x, 1.0) and res.fun < 1e-12
-    assert res.nfev >= 2 and res.nit >= 1
+    res = run(traced(quadratic), np.zeros((1, 3)))
+    (one,) = res.runs
+    assert np.allclose(one.x, 1.0) and one.fun < 1e-12
+    assert one.nfev >= 2 and one.nit >= 1 and (res.nfev, res.nit) == (one.nfev, one.nit)
     assert len(values) == res.nfev and float.hex(res.least) == float.hex(min(values))
     # the least value can be a line-search trial that never becomes an iterate
-    res = run(traced(dipped), np.zeros(1))
-    assert float.hex(res.least) == float.hex(min(values)) and res.least < res.fun
+    res = run(traced(dipped), np.zeros((1, 1)))
+    assert float.hex(res.least) == float.hex(min(values)) and res.least < res.runs[0].fun
     # a NaN never counts, not even at x0, where the run goes on and converges
-    res = run(lambda x: traced(quadratic)(x) if x.any() else (math.nan, 2.0 * (x - 1.0)),
-              np.zeros(3))
+    nan_at_x0 = lambda x: traced(quadratic)(x) if x.any() else ([math.nan], 2.0 * (x - 1.0))
+    res = run(nan_at_x0, np.zeros((1, 3)))
     assert res.nit >= 1 and float.hex(res.least) == float.hex(min(values))
     # started at the minimum, the run stops with no iteration, and x0 counts
-    assert run(quadratic, np.ones(3))[2:] == (1, 0, 0.0)
-    assert run(lambda x: (math.nan, 0.0 * x), np.zeros(3)).least == math.inf
+    assert run(quadratic, np.ones((1, 3)))[1:] == (1, 0, 0.0)
+    assert run(lambda x: (np.full(len(x), math.nan), 0.0 * x), np.zeros((1, 3))).least == math.inf
+    # in a block, each run is the run from its row alone, the one at the local
+    # minimum 2 stopping in the first round, and the counters are the sums
+    starts = np.array([[0.0], [2.0], [3.0], [-1.0]])
+    res = run(traced(dipped), starts)
+    alone = [run(dipped, start[None]).runs[0] for start in starts]
+    assert [r.nfev for r in alone][1] == 1 and len({r.nfev for r in alone}) > 1
+    for ours, solo in zip(res.runs, alone):
+        assert ours.x.tobytes() == solo.x.tobytes()
+        assert [float.hex(v) for v in (ours.fun, ours.least)] == [float.hex(solo.fun),
+                                                                   float.hex(solo.least)]
+        assert (ours.nfev, ours.nit) == (solo.nfev, solo.nit)
+    assert (res.nfev, res.nit) == (sum(r.nfev for r in alone), sum(r.nit for r in alone))
+    assert res.least == min(r.least for r in alone)
+
+
+def kinked(x):
+    """sum |x - shift| on each row of a block, with the gradient's sign pattern."""
+    shift = np.array([-7.0, -12.5, -6.25])
+    return np.sum(np.abs(x - shift), axis=1), np.sign(x - shift)
+
+
+def test_minimize_answers_a_repeated_point_from_its_last_evaluation(monkeypatch):
+    # on the kink, setulb asks again for f and g at the point it was just
+    # given, which scipy answers from its cache; the replay shows every run
+    # evaluates what scipy's does, and the count shows the asks were made
+    asks, routine = [], measures._lbfgsb_routine()
+
+    def setulb(*args):
+        routine.setulb(*args)
+        asks.append(args[11][0] == 3)  # task: FG
+
+    monkeypatch.setattr(measures, "_lbfgsb_routine",
+                        lambda: types.SimpleNamespace(setulb=setulb))
+    starts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [5.0, -3.0, 1.0]])
+    runs = assert_scipy_descent(kinked, starts, 50)
+    assert sum(asks) > sum(run.nfev for run in runs)
 
 
 @pytest.mark.parametrize("method, jac, options", [
@@ -851,7 +920,14 @@ def test_minimize_returns_what_the_tracer_reads():
 ])
 def test_minimize_refuses_what_it_does_not_run(method, jac, options):
     with pytest.raises(ValueError):
-        measures.minimize(quadratic, np.zeros(3), jac=jac, method=method, options=options)
+        measures.minimize(quadratic, np.zeros((1, 3)), jac=jac, method=method, options=options)
+
+
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((1, 1, 3)), np.zeros((0, 3)),
+                                np.zeros((2, 0))], ids=["row", "3-d", "no-start", "no-variable"])
+def test_minimize_refuses_starts_that_are_not_a_block(x0):
+    with pytest.raises(ValueError):
+        measures.minimize(quadratic, x0, jac=True, method="L-BFGS-B", options={"maxiter": 5})
 
 
 # Run in a fresh interpreter: imports diqkd_bounds.cli, then every command
