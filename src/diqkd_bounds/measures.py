@@ -14,6 +14,7 @@ import importlib.machinery
 import importlib.util
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,8 @@ LN2 = math.log(2.0)
 # partitions of her alphabet: Bell(9) = 21,147 fits, Bell(10) = 115,975 does not.
 # The whole pool is screened through a table over the 2^|E| subsets of Eve's
 # alphabet; only a shortlist is re-scored exactly with `_det_channel_values`.
+# `_map_pool` builds each pool once per (|E|, seed, cap) in a process and
+# keeps the last 8; a sampled |E| = 16 entry holds 2.4 MB.
 DET_CHANNEL_CAP = 50_000
 # L-BFGS-B iterations per intrinsic-information restart.  A run whose channel
 # heads for the simplex boundary crawls there (rows = theta**2 flattens the
@@ -453,24 +456,38 @@ def _subset_cmi_table(p: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _screen_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """`_det_channel_values` up to rounding, from `_subset_cmi_table`.
+_MASK_CHUNK = 2048  # maps per block of `_block_masks`: each temporary is 256 KB at |E| = 16
+
+
+def _block_masks(maps: np.ndarray) -> np.ndarray:
+    """masks[i, f]: the bitmask of maps[i]^-1(f), the symbols that map i sends to output f.
+
+    The masks of a block of maps come from one bincount of row * |E| + g(e)
+    weighted by 2^e.  A sum of distinct powers of two is exact, and the
+    `MAX_EVE_ALPHABET` = 16 bits fit a uint16.
+    """
+    n_e = maps.shape[1]
+    bits = 2.0 ** np.arange(n_e)
+    masks = np.empty(maps.shape, dtype=np.uint16)
+    for start in range(0, len(maps), _MASK_CHUNK):
+        block = maps[start:start + _MASK_CHUNK]
+        cells = (np.arange(len(block))[:, None] * n_e + block).reshape(-1)
+        masks[start:start + len(block)] = np.bincount(
+            cells, weights=np.tile(bits, len(block)), minlength=block.size).reshape(block.shape)
+    return masks
+
+
+def _screen_values(p: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """`_det_channel_values` up to rounding, for the maps whose `_block_masks` are ``masks``.
 
     A deterministic map g splits Eve's alphabet into the blocks g^-1(f), and
-    I(A:B|F) = sum_f phi(g^-1(f)).  The block masks of a chunk of maps come
-    from one bincount of row * |E| + g(e) weighted by 2^e.
+    I(A:B|F) = sum_f phi(g^-1(f)) with phi from `_subset_cmi_table`.
     """
-    n_e = p.shape[2]
     phi = _subset_cmi_table(p)
-    bits = 2.0 ** np.arange(n_e)
-    values = np.empty(len(maps))
+    values = np.empty(len(masks))
     chunk = _map_chunk(p)
-    for start in range(0, len(maps), chunk):
-        block = maps[start:start + chunk]
-        cells = (np.arange(len(block))[:, None] * n_e + block).reshape(-1)
-        masks = np.bincount(cells, weights=np.tile(bits, len(block)), minlength=block.size)
-        masks = masks.astype(np.intp).reshape(block.shape)  # sums of distinct 2^e: exact
-        values[start:start + len(block)] = phi[masks].sum(axis=1)
+    for start in range(0, len(masks), chunk):
+        values[start:start + chunk] = phi.take(masks[start:start + chunk]).sum(axis=1)
     return np.clip(values, 0.0, None)
 
 
@@ -492,21 +509,50 @@ def _distinct_splits(maps: np.ndarray, order: np.ndarray) -> list[int]:
     return found
 
 
-def _shortlist(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
+def _shortlist(p: np.ndarray, maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Indices, ascending, of every map that can be the best or a refinement start.
 
-    The screen ranks ``maps``; T is the screened value at the 4th distinct
-    split (the largest one when there are fewer), the least v with 4 splits
-    screened at most v, whatever the order of ties.  A map whose exact value
-    is at most the exact value at the 4th distinct split screens at most T
-    plus twice the rounding gap, so keeping the maps screened within
-    `_SCREEN_MARGIN` of T keeps the exact minimum and the whole prefix that
-    the start selection walks, in the same stable order.
+    The screen ranks ``maps`` through their ``masks``; T is the screened
+    value at the 4th distinct split (the largest one when there are fewer),
+    the least v with 4 splits screened at most v, whatever the order of
+    ties.  A map whose exact value is at most the exact value at the 4th
+    distinct split screens at most T plus twice the rounding gap, so keeping
+    the maps screened within `_SCREEN_MARGIN` of T keeps the exact minimum
+    and the whole prefix that the start selection walks, in the same stable
+    order.
     """
-    screen = _screen_values(p, maps)
+    screen = _screen_values(p, masks)
     firsts = _distinct_splits(maps, np.argsort(screen))
     cut = screen[firsts[-1]] if len(firsts) == _INTRINSIC_RESTARTS else screen.max()
     return np.flatnonzero(screen <= cut + _SCREEN_MARGIN)
+
+
+@functools.lru_cache(maxsize=8)
+def _map_pool(n_e: int, seed: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(maps, masks, jitter): what `intrinsic_info` searches at |E| = ``n_e``, all read-only.
+
+    ``maps`` holds one deterministic map per row, maps[i, e] the output of
+    symbol e (uint8): every partition of Eve's alphabet when Bell(|E|) <=
+    ``cap``; otherwise ``cap`` maps drawn from ``default_rng(seed)``, the
+    first replaced by the identity, and then the |E| constant maps.
+    ``masks`` is `_block_masks(maps)`.  ``jitter``, the perturbation of the
+    refinement starts, is the next draw of the same generator, so a cached
+    pool starts refinement from the bits a fresh draw would.  ``cap`` is
+    `DET_CHANNEL_CAP` as the caller reads it.
+    """
+    rng = np.random.default_rng(seed)
+    if _bell(n_e) <= cap:
+        maps = _partitions(n_e).astype(np.uint8)
+    else:
+        maps = np.empty((cap + n_e, n_e), dtype=np.uint8)
+        maps[:cap] = rng.integers(0, n_e, size=(cap, n_e))
+        maps[0] = np.arange(n_e)  # keep the identity in the pool
+        maps[cap:] = np.arange(n_e)[:, None]  # the constant maps give I(A:B)
+    jitter = 0.15 * rng.standard_normal((_INTRINSIC_RESTARTS, n_e, n_e))
+    pool = maps, _block_masks(maps), jitter
+    for array in pool:
+        array.flags.writeable = False
+    return pool
 
 
 def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> float:
@@ -518,21 +564,29 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     so every one of the Bell(|E|) partitions is tried when they fit under
     `DET_CHANNEL_CAP` (through |E| = 9); otherwise `DET_CHANNEL_CAP` seeded
     random maps plus the identity and the |E| constant maps, so the value
-    never exceeds I(A:B).  The pool is screened with a table of every
-    subset's term of I(A:B|F), and the maps screened near the best splits
-    are re-scored exactly.  Then L-BFGS-B with the exact gradient on the
-    stochastic-matrix parametrization, from the 4 best deterministic maps
-    that split Eve's alphabet differently: the 4 runs go in lockstep through
-    `minimize`, one objective call answering every run that asks in a round,
-    and each run is the one it would be alone, bit for bit.  Refinement is
-    skipped when a deterministic map already gives exactly 0.  The result is a certified
-    upper bound on the true minimum and never exceeds the unprocessed
-    I(A:B|E).
+    never exceeds I(A:B).  The pool and each map's block masks do not
+    depend on the joint: `_map_pool` builds them once per (|E|, seed, cap)
+    in a process and keeps the last 8 (2.4 MB for a sampled |E| = 16 pool),
+    so a call pays for the joint's table of every subset's term of
+    I(A:B|F) and the screen of the pool through it.  The maps screened near
+    the best splits are re-scored exactly.  Then L-BFGS-B with the exact
+    gradient on the stochastic-matrix parametrization, from the 4 best
+    deterministic maps that split Eve's alphabet differently: the 4 runs go
+    in lockstep through `minimize`, one objective call answering every run
+    that asks in a round, and each run is the one it would be alone, bit
+    for bit.  Refinement is skipped when a deterministic map already gives
+    exactly 0.  The result is a certified upper bound on the true minimum
+    and never exceeds the unprocessed I(A:B|E).
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
-    conditional distributions.
+    conditional distributions.  A ``seed`` that is not an integer raises
+    TypeError.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
     p = _reduce_alphabet(_distribution(p_abe, "abe"))
     n_e = p.shape[2]
     if n_e > MAX_EVE_ALPHABET:
@@ -542,15 +596,8 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     if n_e == 1 or best == 0.0:
         return best
 
-    rng = np.random.default_rng(seed)
-    if _bell(n_e) <= DET_CHANNEL_CAP:
-        maps = _partitions(n_e)
-    else:
-        maps = rng.integers(0, n_e, size=(DET_CHANNEL_CAP, n_e))
-        maps[0] = np.arange(n_e)  # keep the identity in the pool
-        constant = np.repeat(np.arange(n_e)[:, None], n_e, axis=1)
-        maps = np.concatenate([maps, constant])  # these give I(A:B)
-    maps = maps[_shortlist(p, maps)]
+    maps, masks, jitter = _map_pool(n_e, seed, DET_CHANNEL_CAP)
+    maps = maps[_shortlist(p, maps, masks)]
     det_values = _det_channel_values(p, maps)
     best = min(best, float(det_values.min()))
     if not refine or best == 0.0:
@@ -560,7 +607,7 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     # (cycled when there are fewer), all descending in one lockstep block
     firsts = _distinct_splits(maps, np.argsort(det_values, kind="stable"))
     starts = maps[np.resize(firsts, _INTRINSIC_RESTARTS)]
-    thetas = np.eye(n_e)[starts] + 0.15 * rng.standard_normal((len(starts), n_e, n_e))
+    thetas = np.eye(n_e)[starts] + jitter
     refined = _descend(_IntrinsicObjective(p).value_and_grad,
                        [thetas.reshape(len(starts), -1)], INTRINSIC_REFINE_ITERS)
     return max(min(best, refined), 0.0)

@@ -409,6 +409,21 @@ def test_intrinsic_reproducible():
     rng = np.random.default_rng(67)
     p = rng.dirichlet(np.ones(2 * 2 * 4)).reshape(2, 2, 4)
     assert intrinsic_info(p, seed=3) == intrinsic_info(p, seed=3)
+    assert intrinsic_info(p, seed=np.int64(3)) == intrinsic_info(p, seed=3)
+
+
+@pytest.mark.parametrize("seed", [3.0, "3", [1, 2], np.random.SeedSequence(3),
+                                  np.random.default_rng(3), None],
+                         ids=["float", "str", "list", "SeedSequence", "Generator", "None"])
+def test_intrinsic_rejects_a_seed_that_is_not_an_integer(seed):
+    # the seed keys the cached map pool: a list is unhashable and a Generator is mutable
+    with pytest.raises(TypeError, match=r"^seed must be an integer, not \w+$"):
+        intrinsic_info(pin_joint("copy", 3), seed=seed)
+
+
+def test_intrinsic_negative_seed_keeps_numpys_error():
+    with pytest.raises(ValueError, match="negative"):
+        intrinsic_info(pin_joint("copy", 3), seed=-1)
 
 
 def test_partitions_are_restricted_growth_strings():
@@ -431,10 +446,20 @@ def test_intrinsic_partition_search_matches_every_map():
 
 def test_intrinsic_partitions_never_weaker_than_sampled_maps(monkeypatch):
     p = np.random.default_rng(89).dirichlet(np.ones(28)).reshape(2, 2, 7)
+    searched, map_pool = [], measures._map_pool
+
+    def recording_pool(*key):
+        searched.append(map_pool(*key))
+        return searched[-1]
+
+    monkeypatch.setattr(measures, "_map_pool", recording_pool)
     # Bell(7) = 877 partitions: exhaustive by default, sampled under a cap of 500
     exhaustive = intrinsic_info(p, refine=False)
     monkeypatch.setattr(measures, "DET_CHANNEL_CAP", 500)
     assert exhaustive <= intrinsic_info(p, refine=False)
+    # the cap is read at each call: the second search is the sampled pool,
+    # 500 maps and the 7 constant ones, not the cached exhaustive one
+    assert [maps.shape for maps, _, _ in searched] == [(877, 7), (507, 7)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -468,7 +493,8 @@ def test_screen_matches_det_channel_values_on_every_partition():
     for n_e in range(2, 10):
         p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
         maps = measures._partitions(n_e)
-        gap = np.abs(measures._screen_values(p, maps) - measures._det_channel_values(p, maps))
+        gap = np.abs(measures._screen_values(p, measures._block_masks(maps))
+                 - measures._det_channel_values(p, maps))
         assert gap.max() <= 1e-13, n_e
 
 
@@ -481,7 +507,8 @@ def test_screen_matches_det_channel_values_on_sampled_maps():
         np.arange(16)[None],  # the identity
         np.repeat(np.arange(16)[:, None], 16, axis=1),  # the constant maps
     ])
-    gap = np.abs(measures._screen_values(p, maps) - measures._det_channel_values(p, maps))
+    gap = np.abs(measures._screen_values(p, measures._block_masks(maps))
+                 - measures._det_channel_values(p, maps))
     assert gap.max() <= 1e-13
 
 
@@ -491,9 +518,41 @@ def test_screen_matches_det_channel_values_with_a_zero_weight_block():
     p /= p.sum()
     maps = np.array([[0, 0, 1, 1, 2, 2], [0, 1, 2, 2, 3, 4], [0, 1, 2, 3, 4, 5],
                      [5, 5, 0, 0, 5, 5], [0, 0, 0, 0, 0, 0]])
-    gap = np.abs(measures._screen_values(p, maps) - measures._det_channel_values(p, maps))
+    gap = np.abs(measures._screen_values(p, measures._block_masks(maps))
+                 - measures._det_channel_values(p, maps))
     assert gap.max() <= 1e-13
     assert measures._subset_cmi_table(p)[0b1100] == 0.0
+
+
+def test_block_masks_are_the_preimages_of_each_output():
+    rng = np.random.default_rng(139)
+    for n_e in (2, 5, 16):
+        # the build takes blocks of 2,048 maps, so these meet at two seams
+        maps = rng.integers(0, n_e, size=(5_000, n_e)).astype(np.uint8)
+        masks = measures._block_masks(maps)
+        assert masks.dtype == np.uint16 and masks.shape == maps.shape
+        for g, row in zip(maps[::97], masks[::97]):
+            assert row.tolist() == [sum(1 << e for e in range(n_e) if g[e] == f)
+                                    for f in range(n_e)]
+
+
+@pytest.mark.parametrize("n_e", [7, 16])
+def test_map_pool_is_the_searched_pool(n_e):
+    pool = measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP)
+    maps, masks, jitter = pool
+    rng = np.random.default_rng(5)
+    if n_e == 7:  # exhaustive: every partition, and the seed reaches the jitter alone
+        assert np.array_equal(maps, measures._partitions(7))
+    else:  # sampled: the identity first, the rest of the draw, then the constant maps
+        cap = measures.DET_CHANNEL_CAP
+        drawn = rng.integers(0, n_e, size=(cap, n_e))
+        assert np.array_equal(maps[0], np.arange(n_e))
+        assert np.array_equal(maps[1:cap], drawn[1:])
+        assert np.array_equal(maps[cap:], np.repeat(np.arange(n_e)[:, None], n_e, axis=1))
+    assert maps.dtype == np.uint8
+    assert np.array_equal(masks, measures._block_masks(maps))
+    assert jitter.tobytes() == (0.15 * rng.standard_normal((4, n_e, n_e))).tobytes()
+    assert measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP) is pool
 
 
 def pin_joint(family: str, n_e: int) -> np.ndarray:
@@ -567,23 +626,20 @@ def symmetric_joint() -> np.ndarray:
 @pytest.mark.parametrize("p", [pin_joint("dirichlet", n) for n in (2, 3, 5, 7, 9, 16)]
                          + [pin_joint("copy", n) for n in (5, 16)] + [symmetric_joint()])
 def test_shortlist_holds_the_walked_prefix_and_the_argmin(p):
+    # the pool that intrinsic_info(p, seed=|E|) searches, the identity row included
     n_e = p.shape[2]
-    if measures._bell(n_e) <= measures.DET_CHANNEL_CAP:
-        maps = measures._partitions(n_e)
-    else:
-        maps = np.concatenate([np.random.default_rng(n_e).integers(0, n_e, size=(50_000, n_e)),
-                               np.repeat(np.arange(n_e)[:, None], n_e, axis=1)])
+    maps, masks, _ = measures._map_pool(n_e, n_e, measures.DET_CHANNEL_CAP)
     exact = measures._det_channel_values(p, maps)
-    kept = set(measures._shortlist(p, maps).tolist())
+    kept = set(measures._shortlist(p, maps, masks).tolist())
     assert set(stable_walk_prefix(maps, exact).tolist()) <= kept
     assert int(np.argmin(exact)) in kept
 
 
 def test_intrinsic_search_memory_peak():
-    # 50,000 maps of 16 int64 entries are 6.1 MiB; the one-hot blocks of the
-    # exact kernel must not be built for the whole pool at once
+    # the one-hot blocks of the exact kernel and the screen's lookups must not
+    # be built for the whole pool of 50,016 maps at once
     p = np.random.default_rng(137).dirichlet(np.ones(64)).reshape(2, 2, 16)
-    intrinsic_info(p, refine=False)  # one-time allocations outside the measurement
+    intrinsic_info(p, refine=False)  # one-time allocations and the pool, outside the measurement
     tracemalloc.start()
     try:
         intrinsic_info(p, refine=False)
@@ -591,6 +647,28 @@ def test_intrinsic_search_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_intrinsic_pool_build_memory_peak():
+    # a cold build: the seeded draw is 50,000 x 16 int64 entries (6.1 MiB)
+    # before it is kept as uint8, and the masks are built block by block
+    p = np.random.default_rng(137).dirichlet(np.ones(64)).reshape(2, 2, 16)
+    intrinsic_info(p, refine=False)
+    measures._map_pool.cache_clear()
+    tracemalloc.start()
+    try:
+        intrinsic_info(p, refine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    pool = measures._map_pool(16, 0, measures.DET_CHANNEL_CAP)
+    assert measures._map_pool.cache_info().hits == 1  # the entry the call built
+    assert sum(array.nbytes for array in pool) <= 2_500_000
+    for array in pool:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_intrinsic_gradient_matches_central_differences():
@@ -710,6 +788,23 @@ INTRINSIC_EVALUATIONS = {
 def test_intrinsic_refinement_evaluation_count_pinned(family, n_e, monkeypatch):
     thetas = refined_thetas(pin_joint(family, n_e), n_e, monkeypatch)
     assert len(thetas) == INTRINSIC_EVALUATIONS[family, n_e]
+
+
+def test_intrinsic_cached_pool_gives_the_cold_bits(monkeypatch):
+    # cold, warm, and warm again after another seed's pool joined the cache
+    p = pin_joint("copy", 16)
+    measures._map_pool.cache_clear()
+    values = [intrinsic_info(p, seed=16), intrinsic_info(p, seed=16)]
+    intrinsic_info(p, seed=17)
+    values.append(intrinsic_info(p, seed=16))
+    assert [float.hex(v) for v in values] == [INTRINSIC_PINS["copy", 16, True]] * 3
+    assert measures._map_pool.cache_info()[:2] == (2, 2)  # hits, misses
+    # this pin equals the unrefined value, so the refined points are compared too
+    measures._map_pool.cache_clear()
+    cold = refined_thetas(p, 16, monkeypatch)
+    warm = refined_thetas(p, 16, monkeypatch)
+    assert len(cold) == INTRINSIC_EVALUATIONS["copy", 16]
+    assert np.array(cold).tobytes() == np.array(warm).tobytes()
 
 
 def test_intrinsic_refinement_never_weaker_than_deterministic_search():
