@@ -115,9 +115,9 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
     iterate, the value and both counters of a run are therefore scipy's bit
     for bit, without the wrapper layers that cost as much as the objective.
     ``least``, the one field scipy lacks, is the running minimum that
-    `_descend` reads.  ``setulb`` is private scipy API: a test in
-    tests/test_measures.py compares whole runs with scipy's public driver, so
-    a scipy release that changes the routine fails there.
+    `intrinsic_info` and `er_numeric` read.  ``setulb`` is private scipy
+    API: a test in tests/test_measures.py compares whole runs with scipy's
+    public driver, so a scipy release that changes the routine fails there.
 
     The call keeps scipy's form, whose ``method`` and result counters (the
     totals over the runs) the benchmark's tracer reads; ``options`` holds
@@ -188,12 +188,6 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
     return Descent(runs, sum(nfev), sum(nit), min(least))
 
 
-def _descend(fun, blocks, maxiter: int) -> float:
-    """Least value of one call of the module-level (patchable) `minimize` per block of starts."""
-    return min(minimize(fun, x0, jac=True, method="L-BFGS-B",
-                        options={"maxiter": maxiter}).least for x0 in blocks)
-
-
 def er_isotropic_closed(omega: float) -> float:
     """Relative entropy of entanglement of the isotropic state at CHSH value omega.
 
@@ -258,17 +252,12 @@ def cmi_ccq(c: CcqState) -> float:
     return max(value, 0.0)
 
 
-def _log2(t: np.ndarray) -> np.ndarray:
-    """log2 elementwise, floored at log2(1e-300) so that zero cells stay finite."""
-    return np.log2(np.maximum(t, 1e-300))
-
-
 def _plogp(t: np.ndarray) -> np.ndarray:
-    """t * log2(t) elementwise, 0 at t = 0.
+    """t * log2(t) elementwise, 0 at t = 0 (log2 is floored at log2(1e-300)).
 
     There is no support cutoff: a cell of 1e-13 still carries 4e-12 bit.
     """
-    return t * _log2(t)
+    return t * np.log2(np.maximum(t, 1e-300))
 
 
 def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
@@ -309,68 +298,44 @@ class _IntrinsicObjective:
 
     Every theta gives a stochastic matrix, so every evaluated value is a
     valid upper bound on the intrinsic information.  `value_and_grad` takes
-    a block of thetas, one per row and at most one per restart.
+    a block of thetas, one per row, and computes each row from that row
+    alone, so a theta gets the same bits whatever block it comes in.
     """
 
     def __init__(self, p: np.ndarray):
         self.p = p
-        n_a, n_b, n_e = p.shape
-        self.n_e = n_e
-        # each theta's q(a,b,f), q(a,f), q(b,f) and q(f) lie side by side in one
-        # row of a buffer, so one floor, one log2 and one product cover all four
-        # tables of every theta; each evaluation overwrites every entry of the
-        # rows it uses, and every reduction runs within one row, so a theta gets
-        # the same bits whatever block it comes in
-        shapes = [(n_a, n_b, n_e), (n_a, 1, n_e), (1, n_b, n_e), (1, 1, n_e)]
-        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-        spans = list(zip([0] + ends[:-1], ends))
-        cells, logs, terms = np.empty((3, _INTRINSIC_RESTARTS, ends[-1]))
-        rows, g_rows, g_terms = np.empty((3, _INTRINSIC_RESTARTS, n_e, n_e))
-        s, g_mean = np.empty((2, _INTRINSIC_RESTARTS, n_e, 1))
-        # the workspace views of a block of k thetas, at index k - 1
-        self._views = [(
-            cells[:k], logs[:k], terms[:k],
-            [cells[:k, i:j].reshape(k, *shape) for (i, j), shape in zip(spans, shapes)],
-            [logs[:k, i:j].reshape(k, *shape) for (i, j), shape in zip(spans, shapes)],
-            [terms[:k, i:j] for i, j in spans],
-            rows[:k], g_rows[:k], g_terms[:k], s[:k], g_mean[:k],
-        ) for k in range(1, _INTRINSIC_RESTARTS + 1)]
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k = len(theta)
-        theta = theta.reshape(k, self.n_e, self.n_e)
-        (cells, logs, terms, tables, log_tables, term_spans,
-         rows, g_rows, g_terms, s, g_mean) = self._views[k - 1]
-        np.multiply(theta, theta, out=rows)
-        np.maximum(np.add.reduce(rows, axis=2, keepdims=True, out=s), 1e-300, out=s)
-        rows /= s
-        q, q_af, q_bf, q_f = tables
-        np.einsum("abe,kef->kabf", self.p, rows, out=q)
-        np.add.reduce(q, axis=2, keepdims=True, out=q_af)
-        np.add.reduce(q, axis=1, keepdims=True, out=q_bf)
-        np.add.reduce(q, axis=(1, 2), keepdims=True, out=q_f)
+        n_a, n_b, n_e = self.p.shape
+        k, ab = len(theta), n_a * n_b
+        theta = theta.reshape(k, n_e, n_e)
+        sq = theta * theta
+        s = np.maximum(np.add.reduce(sq, axis=2, keepdims=True), 1e-300)
+        rows = sq / s
+        q = np.einsum("abe,kef->kabf", self.p, rows)
+        # each theta's q(a,b,f), q(a,f), q(b,f) and q(f) in one (ab + a + b + 1, f)
+        # block, so one floor, one log2 and one product cover all four tables
+        cells = np.concatenate([q.reshape(k, ab, n_e), np.add.reduce(q, axis=2),
+                                np.add.reduce(q, axis=1), np.add.reduce(q, axis=(1, 2))[:, None]],
+                               axis=1)
+        logs = np.log2(np.maximum(cells, 1e-300))
+        terms = cells * logs
+        abf, af, bf, f = slice(ab), slice(ab, ab + n_a), slice(ab + n_a, -1), slice(-1, None)
 
         # I = H(AF) + H(BF) - H(ABF) - H(F) over every cell: a support cutoff
         # would drop the tiny cells the optimizer drives toward and report
         # values below what the channel gives
-        np.log2(np.maximum(cells, 1e-300, out=logs), out=logs)
-        np.multiply(cells, logs, out=terms)
-        h_abf, h_af, h_bf, h_f = (np.add.reduce(t, axis=1) for t in term_spans)
+        h_abf, h_af, h_bf, h_f = (np.add.reduce(terms[:, rows_of], axis=(1, 2))
+                                  for rows_of in (abf, af, bf, f))
         values = h_abf + h_f - h_af - h_bf
-        # dI/dq(abf) in bits, built in place of log2 q(a,b,f); the -1/ln2
-        # terms of the four entropies cancel
-        g_q, l_af, l_bf, l_f = log_tables
-        g_q += l_f
-        g_q -= l_af
-        g_q -= l_bf
-        np.einsum("abe,kabf->kef", self.p, g_q, out=g_rows)
-        np.add.reduce(np.multiply(g_rows, rows, out=g_terms), axis=2, keepdims=True,
-                      out=g_mean)
-        g_rows -= g_mean
+        # dI/dq(abf) in bits, log2 q(a,b,f) + log2 q(f) - log2 q(a,f) - log2 q(b,f);
+        # the -1/ln2 terms of the four entropies cancel
+        g_q = (logs[:, abf].reshape(q.shape) + logs[:, None, f] - logs[:, af, None]
+               - logs[:, None, bf])
+        g_rows = np.einsum("abe,kabf->kef", self.p, g_q)
+        g_rows -= np.add.reduce(g_rows * rows, axis=2, keepdims=True)
         g_rows /= s
-        grad = 2.0 * theta
-        grad *= g_rows
-        return values, grad.reshape(k, -1)
+        return values, (2.0 * theta * g_rows).reshape(k, -1)
 
 
 def _bell(n: int) -> int:
@@ -608,9 +573,9 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     firsts = _distinct_splits(maps, np.argsort(det_values, kind="stable"))
     starts = maps[np.resize(firsts, _INTRINSIC_RESTARTS)]
     thetas = np.eye(n_e)[starts] + jitter
-    refined = _descend(_IntrinsicObjective(p).value_and_grad,
-                       [thetas.reshape(len(starts), -1)], INTRINSIC_REFINE_ITERS)
-    return max(min(best, refined), 0.0)
+    refined = minimize(_IntrinsicObjective(p).value_and_grad, thetas.reshape(len(starts), -1),
+                       jac=True, method="L-BFGS-B", options={"maxiter": INTRINSIC_REFINE_ITERS})
+    return max(min(best, refined.least), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -650,20 +615,17 @@ class _ErObjective:
         b = theta[off:off + k * db] + 1j * theta[off + k * db:off + 2 * k * db]
         return w, a.reshape(k, da), b.reshape(k, db)
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value and gradient at the one theta of a (1, n) block, in the form `minimize` calls."""
+        (theta,) = block
         k, da, db, d = self.k, self.da, self.db, self.d
         w, a_raw, b_raw = self._unpack(theta)
-        na = np.linalg.norm(a_raw, axis=1)
-        nb = np.linalg.norm(b_raw, axis=1)
-        na = np.where(na < 1e-150, 1e-150, na)
-        nb = np.where(nb < 1e-150, 1e-150, nb)
+        na = np.maximum(np.linalg.norm(a_raw, axis=1), 1e-150)
+        nb = np.maximum(np.linalg.norm(b_raw, axis=1), 1e-150)
         a = a_raw / na[:, None]
         b = b_raw / nb[:, None]
-        s = float(np.dot(w, w))
-        if s < 1e-300:
-            q = np.full(k, 1.0 / k)
-        else:
-            q = w * w / s
+        s = max(float(np.dot(w, w)), 1e-300)
+        q = w * w / s
         v = np.einsum("ki,kj->kij", a, b).reshape(k, d)
         sigma = np.einsum("k,ki,kj->ij", q, v, v.conj())
         sigma = (1.0 - SEP_MIX_EPS) * sigma + SEP_MIX_EPS * np.eye(d) / d
@@ -685,10 +647,7 @@ class _ErObjective:
         scale = 1.0 - SEP_MIX_EPS
 
         g_q = scale * np.real(np.einsum("ki,ij,kj->k", v.conj(), g, v))
-        if s < 1e-300:
-            grad_w = np.zeros(k)
-        else:
-            grad_w = (2.0 * w / s) * (g_q - float(np.dot(q, g_q)))
+        grad_w = (2.0 * w / s) * (g_q - float(np.dot(q, g_q)))
 
         g4 = g.reshape(da, db, da, db)
         ga = np.einsum("kj,ijmn,kn->kim", b.conj(), g4, b)
@@ -705,12 +664,6 @@ class _ErObjective:
             np.real(h_a).reshape(-1), np.imag(h_a).reshape(-1),
             np.real(h_b).reshape(-1), np.imag(h_b).reshape(-1),
         ])
-        return value, grad
-
-    def block_value_and_grad(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`value_and_grad` of a block of one theta, in the form `minimize` calls."""
-        (theta,) = block
-        value, grad = self.value_and_grad(theta)
         return np.array([value]), grad[None]
 
 
@@ -730,7 +683,8 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
     rho : DensityMatrix
         Bipartite state with total dimension at most 12 (2x2 and 2x3 targeted).
     k : int, optional
-        Ensemble size; defaults to 16 for two qubits and 24 otherwise.
+        Ensemble size; defaults to 16 when the total dimension is 4 (two
+        qubits, or a 1x4 state) and 24 otherwise.
     restarts : int
         Number of independent seeded starts.
     seed : int
@@ -746,6 +700,8 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
         raise ValueError(f"ensemble size {k} and restarts {restarts} must be positive")
     obj = _ErObjective(rho, k)
     # one descent per restart, each a block of one start
-    starts = (np.random.default_rng([seed, r]).standard_normal((1, obj.n_params))
-              for r in range(restarts))
-    return max(_descend(obj.block_value_and_grad, starts, _ER_MAXITER), 0.0)
+    least = min(minimize(obj.value_and_grad,
+                         np.random.default_rng([seed, r]).standard_normal((1, obj.n_params)),
+                         jac=True, method="L-BFGS-B", options={"maxiter": _ER_MAXITER}).least
+                for r in range(restarts))
+    return max(least, 0.0)

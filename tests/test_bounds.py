@@ -63,6 +63,50 @@ def pironio_rate(nu):
     return pironio_rate_at(TWO_SQRT2 * (1 - nu), nu / 2)
 
 
+def noisy_preprocessing_rate_at(omega, q, p):
+    """DI key rate at CHSH value omega and QBER q when Alice flips each raw key
+    bit with probability p (Ho et al., PRL 124, 230502, 2020); p = 0 is Pironio's."""
+    s2 = min(omega * omega, 8.0)
+    c = math.sqrt(max(s2 / 4 - 1, 0.0))
+    return (1 - H((1 + c) / 2) + H((1 + math.sqrt(1 - p * (1 - p) * (8 - s2))) / 2)
+            - H(p + q - 2 * p * q))
+
+
+def noisy_preprocessing_rate(nu):
+    """Achievable DI key rate of the honest device at noise nu, maximized over p in [0, 1/2]."""
+    from scipy.optimize import minimize_scalar
+
+    omega, q = TWO_SQRT2 * (1 - nu), nu / 2
+    if omega < 2:
+        return 0.0
+    res = minimize_scalar(lambda p: -noisy_preprocessing_rate_at(omega, q, p),
+                          bounds=(0.0, 0.5), method="bounded", options={"xatol": 1e-12})
+    return max(0.0, noisy_preprocessing_rate_at(omega, q, 0.0), -res.fun)
+
+
+def test_noisy_preprocessing_rate_without_flips_is_pironio():
+    for nu in np.linspace(0.0, NU_STAR, 201):
+        omega, q = TWO_SQRT2 * (1 - nu), nu / 2
+        no_flips = max(0.0, noisy_preprocessing_rate_at(omega, q, 0.0))
+        assert abs(no_flips - pironio_rate(float(nu))) < 1e-12, nu
+
+
+def test_noisy_preprocessing_rate_outlives_pironio():
+    assert pironio_rate(0.16) == 0.0
+    assert noisy_preprocessing_rate(0.16) > 3e-4
+
+
+def test_every_curve_above_noisy_preprocessing_rate():
+    nus = np.linspace(0.0, NU_STAR, 2001)
+    floor = np.array([noisy_preprocessing_rate(float(nu)) for nu in nus])
+    assert floor[0] == 1.0
+    for name in bounds.CURVES:
+        curve = bound_curve(name, grid=2001)
+        assert np.array_equal(curve.params, nus), name
+        assert abs(curve.values[0] - 1.0) < 1e-12, name  # the two tie at nu = 0
+        assert np.all(curve.values >= floor - 1e-9), name
+
+
 def test_al_bound_small_noise_between_fbjl_and_cap():
     # just above zero noise the quantum attack is the tighter upper bound
     value = al_bound(0.05)

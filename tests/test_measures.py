@@ -82,13 +82,13 @@ def test_er_objective_gradient_matches_finite_differences():
     obj = _ErObjective(rho, 4)
     rng = np.random.default_rng(5)
     theta = rng.standard_normal(obj.n_params)
-    _, grad = obj.value_and_grad(theta)
+    grad = obj.value_and_grad(theta[None])[1][0]
     eps = 1e-6
     for i in rng.choice(len(theta), size=25, replace=False):
         tp, tm = theta.copy(), theta.copy()
         tp[i] += eps
         tm[i] -= eps
-        num = (obj.value_and_grad(tp)[0] - obj.value_and_grad(tm)[0]) / (2 * eps)
+        num = (obj.value_and_grad(tp[None])[0][0] - obj.value_and_grad(tm[None])[0][0]) / (2 * eps)
         assert abs(num - grad[i]) < 1e-6
 
 
@@ -699,7 +699,7 @@ def test_intrinsic_objective_is_cmi_after_the_channel():
 
 
 def reference_value_and_grad(p: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """`_IntrinsicObjective.value_and_grad` with one NumPy call per table, before its workspace."""
+    """`_IntrinsicObjective.value_and_grad` on one theta, each table its own array."""
     n_e = p.shape[2]
     theta = theta.reshape(n_e, n_e)
     sq = theta * theta
@@ -750,8 +750,8 @@ def test_intrinsic_objective_matches_reference_bit_for_bit(monkeypatch):
         extremes = [zero_row.reshape(-1), one_hot.reshape(-1)]
         # one instance sees the recorded run forwards and backwards in blocks of
         # 4, 3, 2 and 1 rows, in turn with blocks that hold an extreme at each
-        # row position of each size, so no state can carry over from one block,
-        # or from rows that only a larger block used, to the next
+        # row position of each size, so every row must get its single-theta bits
+        # whatever block holds it and whatever the instance evaluated before
         recorded = [theta for pair in zip(thetas, reversed(thetas)) for theta in pair]
         plain, sizes = [], itertools.cycle([4, 3, 2, 1])
         while recorded:
@@ -774,8 +774,8 @@ def test_intrinsic_objective_matches_reference_bit_for_bit(monkeypatch):
 
 
 # objective evaluations one refined intrinsic_info(pin_joint(family, n_e),
-# seed=n_e) makes, counted before the objective got its workspace: with the
-# INTRINSIC_PINS values they show the L-BFGS-B trajectory is unchanged
+# seed=n_e) makes: with the INTRINSIC_PINS values they show the L-BFGS-B
+# trajectory is unchanged
 INTRINSIC_EVALUATIONS = {
     ("copy", 2): 63, ("copy", 3): 147, ("copy", 5): 269, ("copy", 7): 342,
     ("copy", 9): 338, ("copy", 16): 336,
