@@ -19,10 +19,11 @@ import numpy as np
 
 from .devices import (
     Behavior,
+    CcqState,
     EveMap,
     MeasurementFamily,
     _input_distribution,
-    _setting_ccqs,
+    _setting_ops,
     behavior_from,
     chsh_value,
     honest_chsh_device,
@@ -63,7 +64,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _omega(nu: float) -> float:
-    """CHSH value of the honest device at isotropic noise nu."""
+    """CHSH value of the honest device at isotropic noise nu, and of the
+    depolarizing and erasure Choi devices at channel noise nu."""
     return TWO_SQRT2 * (1.0 - nu)
 
 
@@ -340,6 +342,13 @@ def _fractional_minimizer() -> float:
                            2.0 + 1e-9, TWO_SQRT2)[0]
 
 
+def _checked_omega(omega: float) -> float:
+    """A CHSH value in [2, 2*sqrt(2)] within 1e-12, clamped to that range."""
+    if not 2.0 - 1e-12 <= omega <= TWO_SQRT2 + 1e-12:
+        raise ValueError(f"omega={omega} outside [2, 2*sqrt(2)]")
+    return min(max(omega, 2.0), TWO_SQRT2)
+
+
 def fractional_er_bound(omega: float) -> float:
     """Fractional relative-entropy bound for the CHSH protocol.
 
@@ -349,9 +358,7 @@ def fractional_er_bound(omega: float) -> float:
     The objective is (omega - 2) g(omega_1), so the minimum sits at
     omega_1 = max(omega, omega_1*), with omega_1* from `_fractional_minimizer`.
     """
-    if not 2.0 - 1e-12 <= omega <= TWO_SQRT2 + 1e-12:
-        raise ValueError(f"omega={omega} outside [2, 2*sqrt(2)]")
-    omega = min(max(omega, 2.0), TWO_SQRT2)
+    omega = _checked_omega(omega)
     if omega <= 2.0:
         return 0.0
     w1 = max(omega, _fractional_minimizer())
@@ -361,10 +368,7 @@ def fractional_er_bound(omega: float) -> float:
 
 def pironio_er_bound(omega: float) -> float:
     """E_R of the Bell-diagonal attack state reproducing CHSH value omega."""
-    if not 2.0 - 1e-12 <= omega <= TWO_SQRT2 + 1e-12:
-        raise ValueError(f"omega={omega} outside [2, 2*sqrt(2)]")
-    omega = min(max(omega, 2.0), TWO_SQRT2)
-    c = _bell_c(omega)
+    c = _bell_c(_checked_omega(omega))
     return er_bell_diagonal_closed((1.0 + c) / 2.0)
 
 
@@ -457,7 +461,7 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
         raise ValueError(f"simulation target must be depolarizing or erasure, got {kind!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    omega_star = (1.0 - p) * TWO_SQRT2
+    omega_star = _omega(p)
     if omega_star < 2.0 - 1e-12:
         raise NoViolationError(f"omega* = {omega_star:.6f} < 2 at p = {p}")
     c = _bell_c(omega_star)
@@ -465,7 +469,7 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
 
     # target device: channel on Bob's half of Phi+, honest measurements
     phi, honest = honest_chsh_device(0.0)
-    target_state = apply_channel(QubitChannel(kind, p), phi, 1)
+    target_state = apply_channel(QubitChannel(kind, p), phi)
     bob_target = honest.bob
     if kind == "erasure":
         bob_target = tuple(_erasure_extended(e) for e in honest.bob)
@@ -473,7 +477,7 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     omega_target = chsh_value(target_behavior)
 
     # dephasing device: tilted measurements on the dephased Phi+
-    deph_state = apply_channel(QubitChannel("dephasing", q), phi, 1)
+    deph_state = apply_channel(QubitChannel("dephasing", q), phi)
     norm = 1.0 / math.sqrt(1.0 + c * c)
     a1 = norm * (PAULI_Z + c * PAULI_X)
     a2 = norm * (PAULI_Z - c * PAULI_X)
@@ -508,7 +512,8 @@ def intrinsic_nonlocality_upper(state: DensityMatrix, family: MeasurementFamily,
     because the setting registers are classical flags; the infimum over all
     extensions is not computed, so this is an upper bound only.
     """
-    return max([0.0, *(cmi_ccq(c) for _, _, c in _setting_ccqs(state, family, eve_maps))])
+    return max([0.0, *(cmi_ccq(CcqState(ops))
+                       for _, _, ops in _setting_ops(state, family, eve_maps))])
 
 
 def cc_sq_multi(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,
@@ -520,7 +525,8 @@ def cc_sq_multi(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarra
     by the classical-flag decomposition identity.
     """
     p = _input_distribution(family, p_xy)
-    return sum(p[x, y] * cmi_ccq(c) for x, y, c in _setting_ccqs(state, family, eve_maps, p))
+    return sum(p[x, y] * cmi_ccq(CcqState(ops))
+               for x, y, ops in _setting_ops(state, family, eve_maps, p))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +604,7 @@ def channel_curve(kind: ChannelKind, grid: int = 64, p_min: float = 0.0,
             omega = 2.0 * math.sqrt(1.0 + (1.0 - 2.0 * p) ** 2)
             err = 0.0
         else:
-            omega = TWO_SQRT2 * (1.0 - p)
+            omega = _omega(p)
             err = p / 2.0
         samples.append(CurveSample(p, omega, err, channel_di_bound(kind, p)))
     return BoundCurve(f"channel-{kind}", "p", tuple(samples))

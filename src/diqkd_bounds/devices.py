@@ -253,9 +253,9 @@ def chsh_value(b: Behavior, alice_inputs: tuple[int, int] = (1, 2),
             + correlator(x2, y1) - correlator(x2, y2))
 
 
-def qber(b: Behavior, x_key: int = 0, y_key: int = 0) -> float:
-    """P(a != b) at the key-generation setting."""
-    slab = b.slice_xy(x_key, y_key)
+def qber(b: Behavior) -> float:
+    """P(a != b) at the key-generation setting (0, 0) of `honest_chsh_device`."""
+    slab = b.slice_xy(0, 0)
     return float(slab.sum() - np.trace(slab))
 
 
@@ -299,6 +299,11 @@ def assemble_ccq(state: DensityMatrix, pair_povm: tuple[Sequence[np.ndarray], Se
     tr_AB[(M_a (x) M_b (x) I_E) |psi><psi|] of the rank-minimal purification;
     ``eve_map`` (a channel or measurement on E) is applied afterwards.
     """
+    return CcqState(_eve_operators(state, pair_povm, eve_map))
+
+
+def _eve_operators(state: DensityMatrix, pair_povm, eve_map: EveMap | None) -> np.ndarray:
+    """The ``eve_ops`` array of `assemble_ccq`, before `CcqState` checks it."""
     if len(state.dims) != 2:
         raise DimensionMismatchError("assemble_ccq expects a bipartite state")
     da, db = state.dims
@@ -315,7 +320,7 @@ def assemble_ccq(state: DensityMatrix, pair_povm: tuple[Sequence[np.ndarray], Se
         if np.max(np.abs(traces[1] - traces[0])) > 1e-9:
             raise ValueError("eve_map does not preserve the trace")
         ops = mapped
-    return CcqState(ops)
+    return ops
 
 
 def _input_distribution(family: MeasurementFamily, p_xy: np.ndarray) -> np.ndarray:
@@ -326,18 +331,20 @@ def _input_distribution(family: MeasurementFamily, p_xy: np.ndarray) -> np.ndarr
     return _probabilities(p, "p_xy")
 
 
-def _setting_ccqs(state: DensityMatrix, family: MeasurementFamily,
-                  eve_maps: dict[tuple[int, int], EveMap] | None,
-                  p_xy: np.ndarray | None = None):
-    """Yield (x, y, ccq) per setting, Eve holding her purifier mapped by ``eve_maps[(x, y)]``.
+def _setting_ops(state: DensityMatrix, family: MeasurementFamily,
+                 eve_maps: dict[tuple[int, int], EveMap] | None,
+                 p_xy: np.ndarray | None = None):
+    """Yield (x, y, Eve's operators) per setting, her purifier mapped by ``eve_maps[(x, y)]``.
 
-    With ``p_xy`` given, settings of zero weight are skipped.
+    The operators are `_eve_operators`, not yet checked by `CcqState`.  With
+    ``p_xy`` given, settings of zero weight are skipped.
     """
     maps = eve_maps or {}
     for x in range(family.x_count):
         for y in range(family.y_count):
             if p_xy is None or p_xy[x, y] > 0.0:
-                yield x, y, assemble_ccq(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
+                yield x, y, _eve_operators(state, (family.alice[x], family.bob[y]),
+                                           maps.get((x, y)))
 
 
 def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,
@@ -346,10 +353,10 @@ def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndar
 
     Eve's register is the direct sum over settings (x, y) of the per-setting
     purifier conditionals, weighted by p(x, y); the block index doubles as
-    her copy of the announced inputs.
+    her copy of the announced inputs.  Only the direct sum is checked.
     """
     p = _input_distribution(family, p_xy)
-    blocks = [(p[x, y], ccq.eve_ops) for x, y, ccq in _setting_ccqs(state, family, eve_maps)]
+    blocks = [(p[x, y], ops) for x, y, ops in _setting_ops(state, family, eve_maps)]
     n_a, n_b = family.outcome_counts()
     d_total = sum(ops.shape[2] for _, ops in blocks)
     arr = np.zeros((n_a, n_b, d_total, d_total), dtype=complex)

@@ -91,15 +91,14 @@ def hermitian_eig(a) -> Spectrum:
 
     Raises
     ------
+    DimensionMismatchError
+        If ``a`` is not a square matrix (`as_matrix`, `_hermitian_part`).
     NotHermitianError
         If the Hermiticity defect exceeds 1e-9 (Frobenius).
     NoConvergenceError
         If the underlying LAPACK iteration fails to converge.
     """
-    h = _hermitian_part(a)
-    if h.ndim != 2:
-        raise DimensionMismatchError(f"expected a matrix, got ndim={h.ndim}")
-    w, v = _eigh(h)
+    w, v = _eigh(_hermitian_part(as_matrix(a)))
     return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
 
 
@@ -126,20 +125,6 @@ def psd_spectrum(a, parts=1, hermitian_tol: float = HERMITICITY_TOL,
     for array in spectrum:
         array.flags.writeable = False
     return spectrum
-
-
-def _trace_indices(n_factors: int, keep: Sequence[int]) -> tuple[str, str]:
-    # einsum subscripts tracing out every factor not in `keep`
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n_factors > len(letters):
-        raise DimensionMismatchError("too many tensor factors")
-    row = list(letters[:n_factors])
-    col = list(letters[n_factors : 2 * n_factors])
-    for f in range(n_factors):
-        if f not in keep:
-            col[f] = row[f]
-    out = "".join(row[f] for f in keep) + "".join(letters[n_factors + f] for f in keep)
-    return "".join(row) + "".join(col), out
 
 
 def partial_trace(a, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -170,8 +155,10 @@ def partial_trace(a, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
         raise DimensionMismatchError(f"matrix is {m.shape}, dims imply {total}x{total}")
     if not keep:
         return np.array([[np.trace(m)]], dtype=complex)
-    tensor = m.reshape(dims + dims)
-    subscripts, out = _trace_indices(len(dims), keep)
-    reduced = np.einsum(subscripts + "->" + out, tensor)
+    # row factor f has label f; column factor f has n + f if kept, else f again (traced)
+    n = len(dims)
+    columns = [n + f if f in keep else f for f in range(n)]
+    reduced = np.einsum(m.reshape(dims + dims), [*range(n), *columns],
+                        [*keep, *(n + f for f in keep)])
     kept = int(np.prod([dims[k] for k in keep]))
     return reduced.reshape(kept, kept)

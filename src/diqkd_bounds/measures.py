@@ -94,7 +94,7 @@ def _lbfgsb_routine():
     return module
 
 
-def minimize(fun, x0, *, jac, method, options) -> Descent:
+def minimize(fun, x0, *, method, maxiter) -> Descent:
     """Unbounded L-BFGS-B from each row of ``x0`` in lockstep: scipy's routine, driven directly.
 
     ``fun(X) -> (values, gradients)`` takes a (k, n) block of points and
@@ -107,34 +107,32 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
 
     Each run answers the reverse-communication calls as
     ``scipy.optimize.minimize(fun, x0[i], jac=True, method="L-BFGS-B")``
-    does with ftol 1e-14, gtol 1e-10 and its default memory, line-search and
-    evaluation limits: the same arguments and workspaces, x0 evaluated at
-    the routine's first request (its start reads neither f nor g), a
-    repeated request for the last evaluated point answered from it (scipy's
-    cache), a copy of x passed to ``fun``, and the same stops.  Every
-    iterate, the value and both counters of a run are therefore scipy's bit
-    for bit, without the wrapper layers that cost as much as the objective.
-    ``least``, the one field scipy lacks, is the running minimum that
-    `intrinsic_info` and `er_numeric` read.  ``setulb`` is private scipy
-    API: a test in tests/test_measures.py compares whole runs with scipy's
-    public driver, so a scipy release that changes the routine fails there.
+    does with the options maxiter, ftol 1e-14 and gtol 1e-10, and its default
+    memory, line-search and evaluation limits: the same arguments and
+    workspaces, x0 evaluated at the routine's first request (its start reads
+    neither f nor g), a repeated request for the last evaluated point
+    answered from it (scipy's cache), a copy of x passed to ``fun``, and the
+    same stops.  Every iterate, the value and both counters of a run are
+    therefore scipy's bit for bit, without the wrapper layers that cost as
+    much as the objective.  ``least``, the one field scipy lacks, is the
+    running minimum that `intrinsic_info` and `er_numeric` read.
+    ``setulb`` is private scipy API: a test in tests/test_measures.py
+    compares whole runs with ``scipy.optimize.minimize``, so a scipy release
+    that changes the routine fails there.
 
-    The call keeps scipy's form, whose ``method`` and result counters (the
-    totals over the runs) the benchmark's tracer reads; ``options`` holds
-    ``maxiter`` alone.  Any other method, jac or option, or an ``x0`` that
-    is not a block, raises ValueError, never ignored.  Only the compiled
+    ``method`` must be "L-BFGS-B": the benchmark's tracer names its metrics
+    after it, and reads the result counters (the totals over the runs).  Any
+    other method, or an ``x0`` that is not a block, raises ValueError; any
+    other keyword is a TypeError, never ignored.  Only the compiled
     routine is loaded, by file (`_lbfgsb_routine`): importing scipy.optimize
     runs the whole package (linprog, HiGHS, scipy.linalg, scipy.fft, ...),
     ~550 ms in a fresh process against ~3.5 ms for the extension.
     """
     x = np.array(x0, dtype=np.float64)  # one start per row, each row setulb's iterate
-    if (method != "L-BFGS-B" or jac is not True or set(options) != {"maxiter"}
-            or x.ndim != 2 or not x.size):
+    if method != "L-BFGS-B" or x.ndim != 2 or not x.size:
         raise ValueError("minimize runs L-BFGS-B on fun(X) -> (values, gradients) from the "
-                         "rows of a (k, n) block x0: it takes method='L-BFGS-B', jac=True "
-                         "and options={'maxiter': n} only")
+                         "rows of a (k, n) block x0: it takes method='L-BFGS-B' only")
     _lbfgsb = _lbfgsb_routine()
-    maxiter = options["maxiter"]
     (k, n), m = x.shape, _LBFGSB_MEMORY
     g, evaluated = np.zeros((2, k, n))
     f, least, nfev, nit = [0.0] * k, [math.inf] * k, [0] * k, [0] * k
@@ -191,16 +189,14 @@ def minimize(fun, x0, *, jac, method, options) -> Descent:
 def er_isotropic_closed(omega: float) -> float:
     """Relative entropy of entanglement of the isotropic state at CHSH value omega.
 
-    The Phi+ weight is lam = 3*omega/(8*sqrt(2)) + 1/4; the state is separable
-    (value 0) for lam <= 1/2 and otherwise E_R = 1 - H(lam).
+    The state is Bell-diagonal with largest weight, on Phi+, lam =
+    3*omega/(8*sqrt(2)) + 1/4: separable (value 0) for lam <= 1/2, and
+    otherwise `er_bell_diagonal_closed` of lam.
     """
     if not 0.0 <= omega <= TWO_SQRT2 + 1e-12:
         raise ValueError(f"omega={omega} outside [0, 2*sqrt(2)]")
     lam = 3.0 * omega / (8.0 * math.sqrt(2.0)) + 0.25
-    lam = min(lam, 1.0)
-    if lam <= 0.5:
-        return 0.0
-    return 1.0 - binary_entropy(lam)
+    return 0.0 if lam <= 0.5 else er_bell_diagonal_closed(lam)
 
 
 def er_bell_diagonal_closed(lambda_max: float) -> float:
@@ -451,6 +447,7 @@ def _screen_values(p: np.ndarray, masks: np.ndarray) -> np.ndarray:
     phi = _subset_cmi_table(p)
     values = np.empty(len(masks))
     chunk = _map_chunk(p)
+    # in blocks: one take over a sampled |E| = 16 pool is a 6.4 MB temporary, ~10% slower
     for start in range(0, len(masks), chunk):
         values[start:start + chunk] = phi.take(masks[start:start + chunk]).sum(axis=1)
     return np.clip(values, 0.0, None)
@@ -574,7 +571,7 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     starts = maps[np.resize(firsts, _INTRINSIC_RESTARTS)]
     thetas = np.eye(n_e)[starts] + jitter
     refined = minimize(_IntrinsicObjective(p).value_and_grad, thetas.reshape(len(starts), -1),
-                       jac=True, method="L-BFGS-B", options={"maxiter": INTRINSIC_REFINE_ITERS})
+                       method="L-BFGS-B", maxiter=INTRINSIC_REFINE_ITERS)
     return max(min(best, refined.least), 0.0)
 
 
@@ -702,6 +699,6 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
     # one descent per restart, each a block of one start
     least = min(minimize(obj.value_and_grad,
                          np.random.default_rng([seed, r]).standard_normal((1, obj.n_params)),
-                         jac=True, method="L-BFGS-B", options={"maxiter": _ER_MAXITER}).least
+                         method="L-BFGS-B", maxiter=_ER_MAXITER).least
                 for r in range(restarts))
     return max(least, 0.0)

@@ -225,27 +225,22 @@ def purify(rho: DensityMatrix) -> PureState:
 
 def choi_state(ch: QubitChannel) -> DensityMatrix:
     """Channel acting on the B half of the two-qubit Phi+ state."""
-    phi = DensityMatrix(projector(KET_PHI_PLUS), (2, 2))
-    return apply_channel(ch, phi, 1)
+    return apply_channel(ch, DensityMatrix(projector(KET_PHI_PLUS), (2, 2)))
 
 
-def apply_channel(ch: QubitChannel, rho: DensityMatrix, which_factor: int) -> DensityMatrix:
-    """Kraus-sum action of ``ch`` on one qubit factor of ``rho``.
+def apply_channel(ch: QubitChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Kraus-sum action of ``ch`` on the last tensor factor of ``rho``.
 
-    The targeted factor must be two-dimensional; for the erasure channel its
-    output dimension becomes 3.
+    That factor must be a qubit; for the erasure channel its output
+    dimension becomes 3.  On Phi+ this gives the channel's Choi state.
     """
-    f = int(which_factor)
-    if f < 0 or f >= len(rho.dims):
-        raise DimensionMismatchError(f"factor {f} out of range for dims {rho.dims}")
-    if rho.dims[f] != 2:
-        raise DimensionMismatchError(f"factor {f} has dimension {rho.dims[f]}, need a qubit")
-    left = int(np.prod(rho.dims[:f])) if f > 0 else 1
-    right = int(np.prod(rho.dims[f + 1:])) if f + 1 < len(rho.dims) else 1
+    *rest, last = rho.dims
+    if last != 2:
+        raise DimensionMismatchError(f"last factor has dimension {last}, need a qubit")
+    left = np.eye(int(np.prod(rest)))
     out = None
     for k in ch.kraus_operators():
-        big = kron(np.eye(left), k, np.eye(right))
+        big = kron(left, k)
         term = big @ rho.matrix @ big.conj().T
         out = term if out is None else out + term
-    new_dims = rho.dims[:f] + (ch.output_dim,) + rho.dims[f + 1:]
-    return DensityMatrix(out, new_dims)
+    return DensityMatrix(out, (*rest, ch.output_dim))

@@ -204,13 +204,16 @@ def test_criterion_8_lp_oracle_equivalence():
                     f"{elapsed:.1f}s (< 120s)")
 
 
-def _simplex_grid_rows(n_e: int, step: int = 20) -> np.ndarray:
-    """All probability rows with entries on the 1/step grid."""
+_GRID_STEP = 20  # the oracle's grid rows have entries in multiples of 1/20
+
+
+def _simplex_grid_levels(n_e: int) -> np.ndarray:
+    """All probability rows on the 1/step grid, each entry given as its multiple of 1/step."""
     rows = []
-    for comp in itertools.product(range(step + 1), repeat=n_e - 1):
-        if sum(comp) <= step:
-            rows.append(list(comp) + [step - sum(comp)])
-    return np.asarray(rows, dtype=float) / step
+    for comp in itertools.product(range(_GRID_STEP + 1), repeat=n_e - 1):
+        if sum(comp) <= _GRID_STEP:
+            rows.append(list(comp) + [_GRID_STEP - sum(comp)])
+    return np.asarray(rows)
 
 
 def _oracle_cmi_batch(q: np.ndarray) -> np.ndarray:
@@ -240,9 +243,17 @@ def _intrinsic_oracle(p: np.ndarray) -> float:
     A literal global 0.05 grid is both combinatorially impossible at |E| = 4
     and value-quantized far above 1e-4, so local refinement of the same grid
     is what makes a two-sided comparison meaningful.
+
+    The descent scores the candidates for row e by columns: I(A:B|F) is a
+    sum of one term per output f, and replacing row e moves column f to
+    q_f + p(., ., e) r_f, where r_f takes one of the 21 grid levels.  So a
+    table of every column's term at every level scores each candidate with
+    |E| lookups, and each accepted move is evaluated again by `_oracle_value`.
     """
     n_e = p.shape[2]
-    grid_rows = _simplex_grid_rows(n_e)
+    grid_levels = _simplex_grid_levels(n_e)
+    grid_rows = grid_levels / _GRID_STEP
+    levels = np.arange(_GRID_STEP + 1) / _GRID_STEP
     starts = []
     for g in itertools.product(range(n_e), repeat=n_e):
         # one start per split of Eve's alphabet (Bell(4) = 15 of the 4^4 maps):
@@ -267,12 +278,15 @@ def _intrinsic_oracle(p: np.ndarray) -> float:
             for e in range(n_e):
                 base = np.einsum("abe,ef->abf", np.delete(p, e, axis=2),
                                  np.delete(rows, e, axis=0))
-                cand = base[None] + p[:, :, e][None, :, :, None] * grid_rows[:, None, None, :]
-                vals = _oracle_cmi_batch(cand)
+                # columns[f, l] = q(., ., f) with row e's entry f at level l, and the
+                # term of each, scored as a joint with one output
+                columns = base.transpose(2, 0, 1)[:, None] + p[:, :, e] * levels[:, None, None]
+                terms = _oracle_cmi_batch(columns.reshape(-1, *p.shape[:2], 1)).reshape(n_e, -1)
+                vals = terms[np.arange(n_e), grid_levels].sum(axis=1)
                 j = int(np.argmin(vals))
                 if vals[j] < current - 1e-12:
-                    current = float(vals[j])
                     rows[e] = grid_rows[j]
+                    current = _oracle_value(p, rows)
                     improved = True
         return current, rows
 

@@ -223,6 +223,11 @@ def test_partial_trace_middle_factor_matches_manual_sum():
     t = a.reshape(2, 3, 2, 2, 3, 2)
     manual = np.einsum("ijkljm->ikl m".replace(" ", ""), t).reshape(4, 4)
     assert np.allclose(got, manual)
+    # four factors, keep given unsorted: the kept factors stay in their order
+    a = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+    got = partial_trace(a, [2, 3, 2, 3], keep=[3, 1])
+    manual = np.einsum("ijklimkn->jlmn", a.reshape(2, 3, 2, 3, 2, 3, 2, 3)).reshape(9, 9)
+    assert np.allclose(got, manual)
 
 
 def test_partial_trace_dimension_mismatch():

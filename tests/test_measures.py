@@ -842,7 +842,7 @@ def recorded_descents(monkeypatch, call) -> list[tuple]:
     driver, descents = measures.minimize, []
 
     def recording(fun, x0, **kwargs):
-        descents.append((fun, np.array(x0), kwargs["options"]["maxiter"]))
+        descents.append((fun, np.array(x0), kwargs["maxiter"]))
         return driver(fun, x0, **kwargs)
 
     with monkeypatch.context() as m:
@@ -870,8 +870,7 @@ def assert_scipy_descent(fun, x0, maxiter) -> tuple:
         block_values.append(np.array(values))
         return values, grads
 
-    res = measures.minimize(traced, x0, jac=True, method="L-BFGS-B",
-                            options={"maxiter": maxiter})
+    res = measures.minimize(traced, x0, method="L-BFGS-B", maxiter=maxiter)
     nfevs = [run.nfev for run in res.runs]
     assert len(res.runs) == len(x0)
     assert [len(block) for block in blocks] == [sum(n > j for n in nfevs)
@@ -948,7 +947,7 @@ def test_minimize_returns_what_the_tracer_reads():
 
     def run(fun, x0):
         values.clear()
-        return measures.minimize(fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": 50})
+        return measures.minimize(fun, x0, method="L-BFGS-B", maxiter=50)
 
     res = run(traced(quadratic), np.zeros((1, 3)))
     (one,) = res.runs
@@ -1003,6 +1002,12 @@ def test_minimize_answers_a_repeated_point_from_its_last_evaluation(monkeypatch)
     assert sum(asks) > sum(run.nfev for run in runs)
 
 
+# Each case is a call in scipy's form, which minimize no longer takes: it
+# takes method and maxiter alone.  Its jac and its options are each refused
+# with TypeError.  Passed as keywords, its options are then refused again
+# where they ask for what minimize does not run: another method raises
+# ValueError, and a missing maxiter or another option raises TypeError.
+# None is ignored.
 @pytest.mark.parametrize("method, jac, options", [
     ("BFGS", True, {"maxiter": 5}),
     ("Nelder-Mead", True, {"maxiter": 5}),
@@ -1014,15 +1019,23 @@ def test_minimize_answers_a_repeated_point_from_its_last_evaluation(monkeypatch)
     ("L-BFGS-B", True, {"maxiter": 5, "ftol": 1e-8}),
 ])
 def test_minimize_refuses_what_it_does_not_run(method, jac, options):
-    with pytest.raises(ValueError):
-        measures.minimize(quadratic, np.zeros((1, 3)), jac=jac, method=method, options=options)
+    x0 = np.zeros((1, 3))
+    for name, value in (("jac", jac), ("options", options)):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            measures.minimize(quadratic, x0, method=method, maxiter=5, **{name: value})
+    if method != "L-BFGS-B":
+        with pytest.raises(ValueError, match="L-BFGS-B"):
+            measures.minimize(quadratic, x0, method=method, **options)
+    elif set(options) != {"maxiter"}:
+        with pytest.raises(TypeError, match="'maxiter'|'ftol'"):
+            measures.minimize(quadratic, x0, method=method, **options)
 
 
 @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((1, 1, 3)), np.zeros((0, 3)),
                                 np.zeros((2, 0))], ids=["row", "3-d", "no-start", "no-variable"])
 def test_minimize_refuses_starts_that_are_not_a_block(x0):
     with pytest.raises(ValueError):
-        measures.minimize(quadratic, x0, jac=True, method="L-BFGS-B", options={"maxiter": 5})
+        measures.minimize(quadratic, x0, method="L-BFGS-B", maxiter=5)
 
 
 # Run in a fresh interpreter: imports diqkd_bounds.cli, then every command

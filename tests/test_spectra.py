@@ -87,11 +87,12 @@ def _honest():
 
 # (calls of linalg._eigh, matrices decomposed) on the honest nu = 0.1 device:
 # per setting, the purification and the Eve operators' check reuse the state's
-# and the blocks' spectra, and cmi_ccq decomposes only the AE, BE and E sums
+# and the blocks' spectra, and cmi_ccq decomposes only the AE, BE and E sums;
+# broadcast_ccq checks its direct sum alone, not each setting's operators
 DECOMPOSITIONS = {
     "cc_sq_multi": (lambda s, f, o: cc_sq_multi(s, f, UNIFORM_XY), 12, 54),
     "intrinsic_nonlocality_upper": (lambda s, f, o: intrinsic_nonlocality_upper(s, f), 12, 54),
-    "cmi_ccq(broadcast_ccq)": (lambda s, f, o: cmi_ccq(broadcast_ccq(s, f, UNIFORM_XY)), 8, 33),
+    "cmi_ccq(broadcast_ccq)": (lambda s, f, o: cmi_ccq(broadcast_ccq(s, f, UNIFORM_XY)), 2, 9),
     "relative_entropy": (lambda s, f, o: relative_entropy(s, o), 0, 0),
     "von_neumann_entropy": (lambda s, f, o: von_neumann_entropy(s), 0, 0),
     "purify": (lambda s, f, o: purify(s), 0, 0),

@@ -204,20 +204,20 @@ def test_apply_channel_matches_choi_definition():
     phi = DensityMatrix(projector(KET_PHI_PLUS), (2, 2))
     for kind in ("dephasing", "depolarizing", "erasure"):
         ch = QubitChannel(kind, 0.3)
-        assert np.allclose(apply_channel(ch, phi, 1).matrix, choi_state(ch).matrix)
+        assert np.allclose(apply_channel(ch, phi).matrix, choi_state(ch).matrix)
 
 
 def test_apply_channel_depolarizing_fully():
     rng = np.random.default_rng(37)
     rho = random_density(rng, (2, 2))
-    out = apply_channel(QubitChannel("depolarizing", 1.0), rho, 1)
+    out = apply_channel(QubitChannel("depolarizing", 1.0), rho)
     expected = kron(rho.marginal([0]).matrix, np.eye(2) / 2)
     assert np.allclose(out.matrix, expected)
 
 
 def test_apply_channel_erasure_fully():
     phi = DensityMatrix(projector(KET_PHI_PLUS), (2, 2))
-    out = apply_channel(QubitChannel("erasure", 1.0), phi, 1)
+    out = apply_channel(QubitChannel("erasure", 1.0), phi)
     flag = np.zeros((3, 3))
     flag[2, 2] = 1.0
     assert np.allclose(out.matrix, kron(np.eye(2) / 2, flag))
@@ -228,13 +228,25 @@ def test_apply_channel_preserves_state_invariants(kind):
     rng = np.random.default_rng(41)
     for _ in range(1000):
         rho = random_density(rng, (2, 2))
-        out = apply_channel(QubitChannel(kind, float(rng.uniform())), rho, 1)
+        out = apply_channel(QubitChannel(kind, float(rng.uniform())), rho)
         # DensityMatrix construction validates Hermiticity, positivity, trace
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "erasure"])
+def test_apply_channel_acts_on_the_last_of_three_factors(kind):
+    rng = np.random.default_rng(43)
+    factors = [random_density(rng, (d,)) for d in (2, 3, 2)]
+    rho = DensityMatrix(kron(*(f.matrix for f in factors)), (2, 3, 2))
+    ch = QubitChannel(kind, 0.3)
+    out = apply_channel(ch, rho)
+    last = sum(k @ factors[2].matrix @ k.conj().T for k in ch.kraus_operators())
+    assert out.dims == (2, 3, ch.output_dim)
+    assert np.max(np.abs(out.matrix - kron(factors[0].matrix, factors[1].matrix, last))) < 1e-14
 
 
 def test_apply_channel_needs_qubit_factor():
     from diqkd_bounds import DimensionMismatchError
     choi = choi_state(QubitChannel("erasure", 0.5))
     with pytest.raises(DimensionMismatchError):
-        apply_channel(QubitChannel("dephasing", 0.1), choi, 1)
+        apply_channel(QubitChannel("dephasing", 0.1), choi)
