@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .devices import (
-    Behavior,
     CcqState,
     EveMap,
     MeasurementFamily,
@@ -49,8 +48,8 @@ from .states import (
     PAULI_X,
     PAULI_Z,
     QubitChannel,
-    apply_channel,
     binary_entropy,
+    choi_state,
 )
 
 # No bound here calls these two any more, but the benchmark's tracer
@@ -135,20 +134,14 @@ def al_bound(nu: float) -> float:
 
 
 @functools.cache
-def _tsirelson_behavior() -> Behavior:
-    """Behavior of the noiseless honest device: fbjl's quantum residual."""
-    return behavior_from(*honest_chsh_device(0.0))
-
-
-@functools.cache
 def _fbjl_anchor(nu: float) -> LocalDecomposition:
     """Fixed-residual decomposition of the honest device, solved by LP.
 
     Called at the anchors only: nu* (every round local, q_L = 1) and 1 (the
-    uniform behavior).
+    uniform behavior).  The residual is the Tsirelson behavior, nu = 0.
     """
     return max_local_weight_with_residual(behavior_from(*honest_chsh_device(nu)),
-                                          _tsirelson_behavior())
+                                          behavior_from(*honest_chsh_device(0.0)))
 
 
 def _fbjl_decomposition(nu: float) -> LocalDecomposition:
@@ -441,12 +434,6 @@ def _erasure_extended(povm: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _anti_z_povm() -> tuple[np.ndarray, np.ndarray]:
-    """Z measurement with relabeled outcomes (used to pin QBER at 1)."""
-    plus, minus = observable_povm(PAULI_Z)
-    return minus, plus
-
-
 def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     """Build a dephasing device replicating a noisy-channel CHSH device.
 
@@ -468,8 +455,8 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     q = min(max((1.0 - c) / 2.0, 0.0), 1.0)
 
     # target device: channel on Bob's half of Phi+, honest measurements
-    phi, honest = honest_chsh_device(0.0)
-    target_state = apply_channel(QubitChannel(kind, p), phi)
+    honest = honest_chsh_device(0.0)[1]
+    target_state = choi_state(QubitChannel(kind, p))
     bob_target = honest.bob
     if kind == "erasure":
         bob_target = tuple(_erasure_extended(e) for e in honest.bob)
@@ -477,17 +464,16 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     omega_target = chsh_value(target_behavior)
 
     # dephasing device: tilted measurements on the dephased Phi+
-    deph_state = apply_channel(QubitChannel("dephasing", q), phi)
+    deph_state = choi_state(QubitChannel("dephasing", q))
     norm = 1.0 / math.sqrt(1.0 + c * c)
-    a1 = norm * (PAULI_Z + c * PAULI_X)
-    a2 = norm * (PAULI_Z - c * PAULI_X)
     if kind == "depolarizing":
         qber_target = qber(target_behavior)
-        alice_deph = (noisy_key_povm(qber_target),
-                      observable_povm(a1), observable_povm(a2))
+        key = noisy_key_povm(qber_target)
     else:
         qber_target = 1.0  # convention: erased rounds are declared errors
-        alice_deph = (_anti_z_povm(), observable_povm(a1), observable_povm(a2))
+        key = observable_povm(-PAULI_Z)  # Z with its outcomes swapped
+    alice_deph = (key, observable_povm(norm * (PAULI_Z + c * PAULI_X)),
+                  observable_povm(norm * (PAULI_Z - c * PAULI_X)))
     deph_behavior = behavior_from(deph_state, MeasurementFamily(alice_deph, honest.bob))
     omega_deph = chsh_value(deph_behavior)
     qber_deph = qber(deph_behavior)

@@ -41,10 +41,17 @@ def _fields(doc, keys: tuple[str, ...], kind: str) -> list:
     return [doc[key] for key in keys]
 
 
+def _integer(n) -> int:
+    """``operator.index(n)``, refusing JSON booleans, which Python counts as ints."""
+    if isinstance(n, bool):
+        raise TypeError(f"expected an integer, got {json.dumps(n)}")
+    return operator.index(n)
+
+
 def behavior_from_dict(doc: dict) -> Behavior:
     *counts, p = _fields(doc, ("x_count", "y_count", "a_count", "b_count", "p"), "behavior")
     try:
-        expected = tuple(operator.index(n) for n in counts)
+        expected = tuple(_integer(n) for n in counts)
         table = np.asarray(p, dtype=float)
     except TypeError as exc:
         raise ValueError(f"malformed behavior document: {exc}") from exc
@@ -70,7 +77,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 def state_from_dict(doc: dict) -> DensityMatrix:
     dims, entries = _fields(doc, ("dims", "entries"), "state")
     try:
-        dims = _factor_dims(operator.index(d) for d in dims)
+        dims = _factor_dims(_integer(d) for d in dims)
         total = int(np.prod(dims))
         if len(entries) != total * total:
             raise ValueError(f"expected {total * total} entries, got {len(entries)}")

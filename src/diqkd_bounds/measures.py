@@ -417,24 +417,18 @@ def _subset_cmi_table(p: np.ndarray) -> np.ndarray:
     return phi
 
 
-_MASK_CHUNK = 2048  # maps per block of `_block_masks`: each temporary is 256 KB at |E| = 16
-
-
 def _block_masks(maps: np.ndarray) -> np.ndarray:
     """masks[i, f]: the bitmask of maps[i]^-1(f), the symbols that map i sends to output f.
 
-    The masks of a block of maps come from one bincount of row * |E| + g(e)
-    weighted by 2^e.  A sum of distinct powers of two is exact, and the
-    `MAX_EVE_ALPHABET` = 16 bits fit a uint16.
+    Symbol e sets bit e of the mask of its output g(e) in every row at once.
+    The `MAX_EVE_ALPHABET` = 16 bits fit a uint16.
     """
-    n_e = maps.shape[1]
-    bits = 2.0 ** np.arange(n_e)
-    masks = np.empty(maps.shape, dtype=np.uint16)
-    for start in range(0, len(maps), _MASK_CHUNK):
-        block = maps[start:start + _MASK_CHUNK]
-        cells = (np.arange(len(block))[:, None] * n_e + block).reshape(-1)
-        masks[start:start + len(block)] = np.bincount(
-            cells, weights=np.tile(bits, len(block)), minlength=block.size).reshape(block.shape)
+    n_maps, n_e = maps.shape
+    masks = np.zeros(maps.shape, dtype=np.uint16)
+    cells = masks.reshape(-1)
+    rows = np.arange(0, n_maps * n_e, n_e)
+    for e in range(n_e):
+        cells[rows + maps[:, e]] |= np.uint16(1 << e)
     return masks
 
 

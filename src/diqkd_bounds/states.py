@@ -93,9 +93,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", v)
         object.__setattr__(self, "dims", dims)
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(projector(self.amplitudes), self.dims)
-
 
 ChannelKind = Literal["dephasing", "depolarizing", "erasure"]
 

@@ -315,7 +315,6 @@ def test_fbjl_curve_solves_lp_only_at_anchors(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(polytope, "simplex_solve", counting_solve)
-    bounds._tsirelson_behavior.cache_clear()
     bounds._fbjl_anchor.cache_clear()
     bound_curve("fbjl", grid=64)
     bound_curve("fbjl", grid=64, lo=0.0, hi=1.0)

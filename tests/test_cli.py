@@ -11,7 +11,7 @@ import pytest
 import diqkd_bounds
 from diqkd_bounds import SimulationReport, dephasing_simulation, make_isotropic, save_state
 from diqkd_bounds.cli import build_parser, main
-from diqkd_bounds.fileio import behavior_from_dict, save_behavior
+from diqkd_bounds.fileio import behavior_from_dict, load_behavior, load_state, save_behavior
 from diqkd_bounds import behavior_from, chsh_value, honest_chsh_device
 
 
@@ -324,3 +324,34 @@ def test_behavior_counts_must_be_integers(field):
     doc[field] = 2.7  # int() would truncate it to 2, which matches p
     with pytest.raises(ValueError, match="malformed behavior document"):
         behavior_from_dict(doc)
+
+
+# JSON true is a Python bool, and operator.index(True) == 1: each of these
+# documents would load as a 1-by-1 behavior or as dims (1, 2) if booleans passed
+BOOLEAN_DOCS = {
+    "behavior-counts": ("localweight", "behavior",
+                        {"x_count": True, "y_count": True, "a_count": 2, "b_count": 2,
+                         "p": [[[[0.25, 0.25], [0.25, 0.25]]]]}),
+    "state-dims": ("er", "state",
+                   {"dims": [True, 2], "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_DOCS))
+def test_boolean_counts_and_dims_are_refused_on_load(tmp_path, case):
+    _, kind, doc = BOOLEAN_DOCS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    load = load_behavior if kind == "behavior" else load_state
+    with pytest.raises(ValueError, match=f"^malformed {kind} document: expected an integer, got true$"):
+        load(path)
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_DOCS))
+def test_boolean_counts_and_dims_are_one_line_errors(tmp_path, capsys, case):
+    command, kind, doc = BOOLEAN_DOCS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed {kind} document: expected an integer, got true\n"

@@ -525,15 +525,15 @@ def test_screen_matches_det_channel_values_with_a_zero_weight_block():
 
 
 def test_block_masks_are_the_preimages_of_each_output():
-    rng = np.random.default_rng(139)
-    for n_e in (2, 5, 16):
-        # the build takes blocks of 2,048 maps, so these meet at two seams
-        maps = rng.integers(0, n_e, size=(5_000, n_e)).astype(np.uint8)
+    pools = [measures._partitions(n_e).astype(np.uint8) for n_e in range(2, 10)]
+    pools.append(measures._map_pool(16, 5, measures.DET_CHANNEL_CAP)[0])  # sampled
+    for maps in pools:
+        n_e = maps.shape[1]
         masks = measures._block_masks(maps)
         assert masks.dtype == np.uint16 and masks.shape == maps.shape
-        for g, row in zip(maps[::97], masks[::97]):
-            assert row.tolist() == [sum(1 << e for e in range(n_e) if g[e] == f)
-                                    for f in range(n_e)]
+        bits = 1 << np.arange(n_e)  # column f of the reference: sum_e [g(e) = f] 2^e
+        reference = np.column_stack([(maps == f) @ bits for f in range(n_e)])
+        assert np.array_equal(masks, reference)
 
 
 @pytest.mark.parametrize("n_e", [7, 16])

@@ -16,15 +16,18 @@ import pytest
 from diqkd_bounds import (
     CcqState,
     DensityMatrix,
+    behavior_from,
     broadcast_ccq,
     cc_sq_multi,
     cmi_ccq,
+    dephasing_simulation,
     er_numeric,
     honest_chsh_device,
     intrinsic_nonlocality_upper,
     kraus_map,
     linalg,
     make_isotropic,
+    max_local_weight,
     povm_map,
     purify,
     relative_entropy,
@@ -222,6 +225,57 @@ ER_PINS = {0.0: "0x1.0000000000d60p+0", 0.1: "0x1.3b3b846d02182p-1",
 # the isotropic states at PIN_NUS
 PURIFY_DIGEST = "3b98fb25e8cb3249f34ea0c8fbca070154d55a95dce61e486891f0772511d2b5"
 
+# float.hex of the float fields of dephasing_simulation(kind, p), in field order:
+# p, dephasing_noise, omega_target, omega_dephasing, qber_target, qber_dephasing,
+# chsh_deviation, qber_deviation
+SIMULATION_PINS = {
+    ("depolarizing", 0.0): ("0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bcap+1", "0x1.6a09e667f3bcbp+1",
+                            "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-51", "0x0.0p+0"),
+    ("depolarizing", 0.1): ("0x1.999999999999ap-4", "0x1.b367374a23624p-4", "0x1.45d5b5c3f4f6ap+1",
+                            "0x1.45d5b5c3f4f6cp+1", "0x1.9999999999990p-5", "0x1.9999999999990p-5",
+                            "0x1.0000000000000p-50", "0x0.0p+0"),
+    ("depolarizing", 0.2): ("0x1.999999999999ap-3", "0x1.e2266f0480b4ep-3", "0x1.21a1851ff6308p+1",
+                            "0x1.21a1851ff6309p+1", "0x1.9999999999998p-4", "0x1.9999999999998p-4",
+                            "0x1.0000000000000p-51", "0x0.0p+0"),
+    ("depolarizing", 0.29): ("0x1.28f5c28f5c28fp-2", "0x1.d1a2ecf3948e6p-2", "0x1.010c2625f74b0p+1",
+                             "0x1.010c2625f74b2p+1", "0x1.28f5c28f5c290p-3", "0x1.28f5c28f5c28cp-3",
+                             "0x1.0000000000000p-50", "0x1.0000000000000p-53"),
+    ("erasure", 0.0): ("0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bcap+1", "0x1.6a09e667f3bcbp+1",
+                       "0x1.0000000000000p+0", "0x1.ffffffffffffep-1", "0x1.0000000000000p-51",
+                       "0x1.0000000000000p-52"),
+    ("erasure", 0.1): ("0x1.999999999999ap-4", "0x1.b367374a23624p-4", "0x1.45d5b5c3f4f68p+1",
+                       "0x1.45d5b5c3f4f6cp+1", "0x1.0000000000000p+0", "0x1.fffffffffffffp-1",
+                       "0x1.0000000000000p-49", "0x1.0000000000000p-53"),
+    ("erasure", 0.2): ("0x1.999999999999ap-3", "0x1.e2266f0480b4ep-3", "0x1.21a1851ff6308p+1",
+                       "0x1.21a1851ff6309p+1", "0x1.0000000000000p+0", "0x1.ffffffffffffdp-1",
+                       "0x1.0000000000000p-51", "0x1.8000000000000p-52"),
+    ("erasure", 0.29): ("0x1.28f5c28f5c28fp-2", "0x1.d1a2ecf3948e6p-2", "0x1.010c2625f74b0p+1",
+                        "0x1.010c2625f74b2p+1", "0x1.0000000000000p+0", "0x1.fffffffffffffp-1",
+                        "0x1.0000000000000p-50", "0x1.0000000000000p-53"),
+}
+
+# sha256 of the behavior table of honest_chsh_device(nu), then of its
+# max_local_weight split: local_weight as float.hex, sha256 of the vertex
+# weights and of the residual table
+HONEST_BEHAVIOR_PINS = {
+    0.0: ("d8c50c0752f087ad3ff3b8a491da56f3ae567ba62df7f1d103ef124cde16d946",
+          "0x1.2bec333018866p-1",
+          "2d676ff450a04738451819e02bd4e5adc9bbc4e78840a137b567703bdfb9cd98",
+          "6b68a072f1dd9b54d3296035666b98321eeec32bd27c8354aa9ae4c33f60c412"),
+    0.1: ("ab575e30655ef6284a088f68f5026acc4fdf2a69527cd0e48cca67d301c40f3f",
+          "0x1.745494781612ap-1",
+          "f2c9c2aab833bfa00b12b0b62f252010462138ceaa7a3427da48e62bf614b004",
+          "236307ed091714d6016166b5b7b6d29e4e42fb9bf126e80be12c7781b017318b"),
+    0.29: ("14d81df70e574a1eb7ddb9897b5b258062f32c0d08edc4b8e8a30d9ae1fb57fb",
+           "0x1.fde7b3b41169cp-1",
+           "62268d01870b6f69ed31a04ff6add8b1803ccc76fde62d3def373acaaed8ef61",
+           "2f7e6583f6cef53e509f3fe5c0c126d60daec00d0331c7167d47ec25f2f325ae"),
+    0.6: ("346a719fa6194331d490b58e04cf649db6a48354d20c35c8e4ae38e9eba0b55e",
+          "0x1.0000000000000p+0",
+          "4d64e32fc536c68126976832ee8197b4406f5b43f87af2a0a79464e292c49a63",
+          "30219dfc407a13792cfc11c465a7c9de02b0a7460c69c686b2ff54724e6c8e44"),
+}
+
 
 @pytest.mark.parametrize("nu, kind", list(CCQ_PINS))
 def test_ccq_values_pinned_bit_for_bit(nu, kind):
@@ -255,3 +309,22 @@ def test_purify_pinned_bit_for_bit():
         digest.update(repr(psi.dims).encode())
         digest.update(psi.amplitudes.tobytes())
     assert digest.hexdigest() == PURIFY_DIGEST
+
+
+@pytest.mark.parametrize("kind, p", list(SIMULATION_PINS))
+def test_dephasing_simulation_pinned_bit_for_bit(kind, p):
+    report = dephasing_simulation(kind, p)
+    values = (report.p, report.dephasing_noise, report.omega_target, report.omega_dephasing,
+              report.qber_target, report.qber_dephasing, report.chsh_deviation,
+              report.qber_deviation)
+    assert tuple(float.hex(v) for v in values) == SIMULATION_PINS[kind, p]
+
+
+@pytest.mark.parametrize("nu", list(HONEST_BEHAVIOR_PINS))
+def test_honest_behavior_and_local_weight_pinned_bit_for_bit(nu):
+    b = behavior_from(*honest_chsh_device(nu))
+    split = max_local_weight(b)
+    found = (hashlib.sha256(b.table.tobytes()).hexdigest(), float.hex(split.local_weight),
+             hashlib.sha256(split.vertex_weights.tobytes()).hexdigest(),
+             hashlib.sha256(split.residual.table.tobytes()).hexdigest())
+    assert found == HONEST_BEHAVIOR_PINS[nu]

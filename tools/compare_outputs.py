@@ -1,0 +1,139 @@
+"""Compare what the library computes and the CLI prints at REF and in this tree.
+
+Usage:  python3 tools/compare_outputs.py REF
+
+``git archive REF`` is unpacked into a temporary directory.  For that tree
+and for this working tree, a fresh interpreter with one BLAS thread dumps:
+
+- the value of every ``intrinsic-joints`` operation of seeds 0-21 as
+  `float.hex`, once with Eve's map pool cleared (cold) and once again (warm);
+- ``er`` stdout on the random 2x3 state of the ``cold-cli`` workload, seeds
+  1-10;
+- stdout, stderr and exit code of about fifty more CLI commands, each in its
+  own process: every curve, ``device``, ``localweight``, both ``simulate``
+  kinds at five values of p in both formats, and three errors.
+
+The inputs come from ``bench/workloads.py`` of this tree, so both trees see
+the same ones.  Temporary paths are normalized before the comparison.  Exit
+0 when every item is identical; otherwise the first differing items are
+printed and the exit code is 1.  A comparison takes about ten seconds on two
+cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+INTRINSIC_SEEDS = range(22)
+ER_SEEDS = range(1, 11)
+SIMULATE_PS = ("0", "0.1", "0.2", "0.25", "0.29")
+SHOWN_DIFFERENCES = 5
+
+
+def cli_commands(behavior: Path, state: Path) -> list[list[str]]:
+    """The argv of every CLI command whose output is compared."""
+    named = ("al", "fbjl", "hull", "fractional", "pironio")
+    commands = [["curve", name, "--grid", "64", "--format", fmt]
+                for name in named for fmt in ("csv", "json")]
+    commands += [["curve", name, "--grid", "64", "--axis", "omega"] for name in named]
+    commands.append(["curve", "hull", "--grid", "257"])
+    commands += [["curve", "channel", "--kind", kind, "--grid", "33"]
+                 for kind in ("dephasing", "depolarizing", "erasure")]
+    commands += [["device", "--nu", "0.1", "--format", fmt] for fmt in ("json", "csv")]
+    commands += [["localweight", "--file", str(behavior), "--format", fmt]
+                 for fmt in ("json", "csv")]
+    commands += [["simulate", "--kind", kind, "--p", p, "--format", fmt]
+                 for kind in ("depolarizing", "erasure") for p in SIMULATE_PS
+                 for fmt in ("json", "csv")]
+    commands += [["simulate", "--kind", "erasure", "--p", "0.5"],  # no violation: exit 1
+                 ["er", "--file", str(state), "--restarts", "0"],  # usage: exit 2
+                 ["localweight", "--file", str(behavior.parent / "missing.json")]]  # exit 1
+    return commands
+
+
+def dump(tree: Path) -> dict[str, str]:
+    """Every compared item of the library in ``tree``, keyed by a label."""
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "bench")]
+    import workloads
+    from diqkd_bounds import cli, measures
+
+    assert Path(measures.__file__).resolve().is_relative_to(tree.resolve()), measures.__file__
+    items: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for seed in INTRINSIC_SEEDS:
+            for i, op in enumerate(workloads.intrinsic_joints(seed, work).ops):
+                measures._map_pool.cache_clear()
+                items[f"intrinsic seed {seed} op {i} cold"] = float.hex(op.run())
+                items[f"intrinsic seed {seed} op {i} warm"] = float.hex(op.run())
+        env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+
+        def run(argv: list[str]) -> str:
+            proc = subprocess.run([sys.executable, "-m", "diqkd_bounds.cli", *argv],
+                                  capture_output=True, text=True, cwd=work, env=env)
+            return json.dumps([proc.returncode, proc.stdout, proc.stderr])
+
+        for seed in ER_SEEDS:
+            state_dir = work / f"cold-cli-{seed}"
+            state_dir.mkdir()
+            workloads.ColdCli(seed, state_dir)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["er", "--file", str(state_dir / "random.json"),
+                                 "--seed", str(seed)])
+            items[f"er cold-cli seed {seed}"] = json.dumps([code, buf.getvalue()])
+        inputs = work / "cold-cli-1"
+        for argv in cli_commands(inputs / "behavior.json", inputs / "isotropic.json"):
+            items[" ".join(argv)] = run(argv)
+    def normalized(text: str) -> str:
+        return text.replace(tmp, "<tmp>").replace(str(tree), "<tree>")
+
+    return {normalized(key): normalized(value) for key, value in items.items()}
+
+
+def dump_in_fresh_process(tree: Path) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, __file__, "--dump", str(tree)],
+                            stdout=subprocess.PIPE, env={**os.environ, **ONE_THREAD})
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--dump":
+        json.dump(dump(Path(argv[1])), sys.stdout)
+        return 0
+    if len(argv) != 1:
+        print("usage: python3 tools/compare_outputs.py REF", file=sys.stderr)
+        return 2
+    ref = argv[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_tree = Path(tmp) / "ref"
+        ref_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(f"error: git archive {ref}: {archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
+        procs = {"ref": dump_in_fresh_process(ref_tree), "tree": dump_in_fresh_process(ROOT)}
+        outputs = {name: proc.communicate()[0] for name, proc in procs.items()}
+        if any(proc.returncode != 0 for proc in procs.values()):
+            print("error: a dump failed", file=sys.stderr)
+            return 2
+    before, after = (json.loads(outputs[name]) for name in ("ref", "tree"))
+    differing = [key for key in {**before, **after} if before.get(key) != after.get(key)]
+    for key in differing[:SHOWN_DIFFERENCES]:
+        print(f"{key}:\n  {ref}: {before.get(key)!r:.300}\n  tree: {after.get(key)!r:.300}")
+    print(f"{len(before)} items at {ref}, {len(after)} in this tree, {len(differing)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
