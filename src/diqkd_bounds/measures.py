@@ -29,10 +29,12 @@ LN2 = math.log(2.0)
 
 # Largest pool of deterministic Eve maps searched exhaustively, counted in set
 # partitions of her alphabet: Bell(9) = 21,147 fits, Bell(10) = 115,975 does not.
-# The whole pool is screened through a table over the 2^|E| subsets of Eve's
-# alphabet; only a shortlist is re-scored exactly with `_det_channel_values`.
-# `_map_pool` builds each pool once per (|E|, seed, cap) in a process and
-# keeps the last 8; a sampled |E| = 16 entry holds 2.4 MB.
+# The whole pool is screened through one term per distinct block that its
+# maps split Eve's alphabet into (all 2^|E| subsets for a partition pool,
+# ~4,100 of 65,536 for a sampled |E| = 16 one); only a shortlist is re-scored
+# exactly with `_det_channel_values`.  `_map_pool` builds each pool
+# once per (|E|, seed, cap) in a process and keeps the last 8, the partition
+# pools shared by every seed; a sampled |E| = 16 entry holds 2.4 MB.
 DET_CHANNEL_CAP = 50_000
 # L-BFGS-B iterations per intrinsic-information restart.  A run whose channel
 # heads for the simplex boundary crawls there (rows = theta**2 flattens the
@@ -42,9 +44,11 @@ DET_CHANNEL_CAP = 50_000
 INTRINSIC_REFINE_ITERS = 80
 _INTRINSIC_RESTARTS = 4  # L-BFGS-B starts per intrinsic-information call
 MAX_EVE_ALPHABET = 16
-# The subset table and `_det_channel_values` differ by a few 1e-15 (rounding),
-# so every map screened within this of the cut is re-scored exactly.
+# The screen, summed from `_subset_terms` in another order, and
+# `_det_channel_values` differ by a few 1e-15 (rounding), so every map
+# screened within this of the cut is re-scored exactly.
 _SCREEN_MARGIN = 1e-9
+_SCREEN_PREFIX = 64  # least screened maps sorted first in search of 4 distinct splits
 
 
 # Stopping tolerances of every L-BFGS-B descent, in the terms of scipy's
@@ -358,15 +362,6 @@ def _partitions(n: int) -> np.ndarray:
     return rows
 
 
-def _map_chunk(p: np.ndarray) -> int:
-    """Rows per block in the map search: ~2M array elements of one-hot channels.
-
-    The screen takes blocks of the same number of maps and of subsets, whose
-    temporaries are smaller still.
-    """
-    return max(1, 2_000_000 // (p.size * p.shape[2] + 1))
-
-
 def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """I(A:B|F), clipped at 0, after each deterministic map in ``maps`` (one row per map).
 
@@ -381,7 +376,7 @@ def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     def ent(t):  # entropy of each joint in a block
         return -_plogp(t).reshape(len(t), -1).sum(axis=1)
 
-    chunk = _map_chunk(p)
+    chunk = max(1, 2_000_000 // (p.size * n_e + 1))  # maps of ~2M one-hot elements
     for start in range(0, len(maps), chunk):
         block = maps[start:start + chunk]
         one_hot = (block[:, :, None] == outputs).astype(float)
@@ -394,26 +389,27 @@ def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def _subset_cmi_table(p: np.ndarray) -> np.ndarray:
-    """phi(S) for every subset S of Eve's alphabet, indexed by bitmask.
+def _subset_terms(p: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """phi(S) for each bitmask S in ``subsets``.
 
     q_S(a,b) is the mass of the symbols in S merged into one, and phi(S) =
     sum_ab plogp(q_S) + plogp(sum q_S) - sum_a plogp(q_S(a,.)) - sum_b
-    plogp(q_S(.,b)) is its term of I(A:B|F); phi(empty set) = 0.
+    plogp(q_S(.,b)) is its term of I(A:B|F); phi is exactly 0 on the empty
+    set and on any set of symbols without mass.
     """
     n_a, n_b, n_e = p.shape
-    p_flat = p.reshape(-1, n_e)
-    q = np.zeros((1 << n_e, n_a * n_b))
-    for e in range(n_e):  # the subsets holding e are those without it, plus e
-        q[1 << e:2 << e] = q[:1 << e] + p_flat[:, e]
-    # q @ margins holds the cells, the A marginals, the B marginals and the total
+    # each symbol's cells, A marginals, B marginals and total, so that one
+    # product sums them over the members of each subset
     margins = np.hstack([np.eye(n_a * n_b), np.kron(np.eye(n_a), np.ones((n_b, 1))),
                          np.kron(np.ones((n_a, 1)), np.eye(n_b)), np.ones((n_a * n_b, 1))])
+    symbols = p.reshape(-1, n_e).T @ margins
     signs = np.repeat([1.0, -1.0, -1.0, 1.0], [n_a * n_b, n_a, n_b, 1])
-    phi = np.empty(len(q))
-    chunk = _map_chunk(p)
-    for start in range(0, len(q), chunk):
-        phi[start:start + chunk] = _plogp(q[start:start + chunk] @ margins) @ signs
+    bits = np.arange(n_e)
+    phi = np.empty(len(subsets))
+    chunk = max(1, 2_000_000 // (n_e + len(signs)))  # rows of ~2M temporary elements
+    for start in range(0, len(subsets), chunk):
+        members = (subsets[start:start + chunk, None] >> bits) & 1
+        phi[start:start + chunk] = _plogp(members @ symbols) @ signs
     return phi
 
 
@@ -421,30 +417,34 @@ def _block_masks(maps: np.ndarray) -> np.ndarray:
     """masks[i, f]: the bitmask of maps[i]^-1(f), the symbols that map i sends to output f.
 
     Symbol e sets bit e of the mask of its output g(e) in every row at once.
-    The `MAX_EVE_ALPHABET` = 16 bits fit a uint16.
+    The masks are stored by column (Fortran order), so that each output's
+    column is contiguous for the screen.  The `MAX_EVE_ALPHABET` = 16 bits
+    fit a uint16.
     """
     n_maps, n_e = maps.shape
-    masks = np.zeros(maps.shape, dtype=np.uint16)
-    cells = masks.reshape(-1)
-    rows = np.arange(0, n_maps * n_e, n_e)
+    masks = np.zeros(maps.shape, dtype=np.uint16, order="F")
+    cells = masks.T.reshape(-1)  # a view: cell i + n_maps * f holds masks[i, f]
+    rows = np.arange(n_maps)
     for e in range(n_e):
-        cells[rows + maps[:, e]] |= np.uint16(1 << e)
+        cells[rows + n_maps * maps[:, e].astype(np.intp)] |= np.uint16(1 << e)
     return masks
 
 
-def _screen_values(p: np.ndarray, masks: np.ndarray) -> np.ndarray:
+def _screen_values(p: np.ndarray, masks: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """`_det_channel_values` up to rounding, for the maps whose `_block_masks` are ``masks``.
 
     A deterministic map g splits Eve's alphabet into the blocks g^-1(f), and
-    I(A:B|F) = sum_f phi(g^-1(f)) with phi from `_subset_cmi_table`.
+    I(A:B|F) = sum_f phi(g^-1(f)) with phi from `_subset_terms`.  ``subsets``
+    lists every mask in ``masks``: phi is computed for those alone, put in a
+    table indexed by bitmask, and gathered one output column at a time.
     """
-    phi = _subset_cmi_table(p)
-    values = np.empty(len(masks))
-    chunk = _map_chunk(p)
-    # in blocks: one take over a sampled |E| = 16 pool is a 6.4 MB temporary, ~10% slower
-    for start in range(0, len(masks), chunk):
-        values[start:start + chunk] = phi.take(masks[start:start + chunk]).sum(axis=1)
-    return np.clip(values, 0.0, None)
+    phi = np.empty(1 << p.shape[2])  # read at ``subsets`` only
+    phi[subsets] = _subset_terms(p, subsets)
+    values, column = np.empty((2, len(masks)))
+    phi.take(masks[:, 0], out=values, mode="clip")  # "clip": out is not buffered
+    for f in range(1, masks.shape[1]):
+        values += phi.take(masks[:, f], out=column, mode="clip")
+    return np.maximum(values, 0.0, out=values)
 
 
 def _distinct_splits(maps: np.ndarray, order: np.ndarray) -> list[int]:
@@ -465,50 +465,85 @@ def _distinct_splits(maps: np.ndarray, order: np.ndarray) -> list[int]:
     return found
 
 
-def _shortlist(p: np.ndarray, maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
+def _shortlist(p: np.ndarray, maps: np.ndarray, masks: np.ndarray,
+               subsets: np.ndarray) -> np.ndarray:
     """Indices, ascending, of every map that can be the best or a refinement start.
 
     The screen ranks ``maps`` through their ``masks``; T is the screened
     value at the 4th distinct split (the largest one when there are fewer),
     the least v with 4 splits screened at most v, whatever the order of
-    ties.  A map whose exact value is at most the exact value at the 4th
-    distinct split screens at most T plus twice the rounding gap, so keeping
-    the maps screened within `_SCREEN_MARGIN` of T keeps the exact minimum
-    and the whole prefix that the start selection walks, in the same stable
-    order.
+    ties.  Only a prefix of the ranking is sorted: the `_SCREEN_PREFIX` least
+    screened maps, widened fourfold until it holds 4 splits or the pool.
+    The prefix sorts as the start of a full sort whose ties fall otherwise,
+    so it finds the same T.  A map whose exact value is at most the exact
+    value at the 4th distinct split screens at most T plus twice the
+    rounding gap, so keeping the maps screened within `_SCREEN_MARGIN` of T
+    keeps the exact minimum and the whole prefix that the start selection
+    walks, in the same stable order.
     """
-    screen = _screen_values(p, masks)
-    firsts = _distinct_splits(maps, np.argsort(screen))
+    screen = _screen_values(p, masks, subsets)
+    size = _SCREEN_PREFIX
+    while True:
+        size = min(size, len(screen))
+        prefix = np.argpartition(screen, size - 1)[:size]
+        firsts = _distinct_splits(maps, prefix[np.argsort(screen[prefix])])
+        if len(firsts) == _INTRINSIC_RESTARTS or size == len(screen):
+            break
+        size *= 4
     cut = screen[firsts[-1]] if len(firsts) == _INTRINSIC_RESTARTS else screen.max()
     return np.flatnonzero(screen <= cut + _SCREEN_MARGIN)
 
 
+def _searched_arrays(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(maps, masks, subsets), read-only: ``maps``, their `_block_masks`, and the masks in use.
+
+    ``subsets`` holds each distinct mask once, ascending (uint16), read off
+    a table of the 2^|E| subsets that marks the masks column by column.
+    """
+    masks = _block_masks(maps)
+    present = np.zeros(1 << maps.shape[1], dtype=bool)
+    for column in masks.T:
+        present[column] = True
+    arrays = maps, masks, np.flatnonzero(present).astype(np.uint16)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _partition_pool(n_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_searched_arrays` of every partition of Eve's alphabet: one copy for every seed."""
+    return _searched_arrays(_partitions(n_e).astype(np.uint8))
+
+
 @functools.lru_cache(maxsize=8)
-def _map_pool(n_e: int, seed: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(maps, masks, jitter): what `intrinsic_info` searches at |E| = ``n_e``, all read-only.
+def _map_pool(n_e: int, seed: int, cap: int) -> tuple[np.ndarray, ...]:
+    """(maps, masks, subsets, jitter): what `intrinsic_info` searches at |E| = ``n_e``, read-only.
 
     ``maps`` holds one deterministic map per row, maps[i, e] the output of
     symbol e (uint8): every partition of Eve's alphabet when Bell(|E|) <=
-    ``cap``; otherwise ``cap`` maps drawn from ``default_rng(seed)``, the
-    first replaced by the identity, and then the |E| constant maps.
-    ``masks`` is `_block_masks(maps)`.  ``jitter``, the perturbation of the
+    ``cap``, the arrays of `_partition_pool` that every seed shares;
+    otherwise ``cap`` maps drawn from ``default_rng(seed)``, the first
+    replaced by the identity, and then the |E| constant maps.  ``masks`` is
+    `_block_masks(maps)` and ``subsets`` the distinct masks, ascending: the
+    only subsets whose terms the screen reads (4,089 of 65,536 for a sampled
+    |E| = 16 pool of seed 0).  ``jitter``, the perturbation of the
     refinement starts, is the next draw of the same generator, so a cached
     pool starts refinement from the bits a fresh draw would.  ``cap`` is
     `DET_CHANNEL_CAP` as the caller reads it.
     """
     rng = np.random.default_rng(seed)
     if _bell(n_e) <= cap:
-        maps = _partitions(n_e).astype(np.uint8)
+        searched = _partition_pool(n_e)
     else:
         maps = np.empty((cap + n_e, n_e), dtype=np.uint8)
         maps[:cap] = rng.integers(0, n_e, size=(cap, n_e))
         maps[0] = np.arange(n_e)  # keep the identity in the pool
         maps[cap:] = np.arange(n_e)[:, None]  # the constant maps give I(A:B)
+        searched = _searched_arrays(maps)
     jitter = 0.15 * rng.standard_normal((_INTRINSIC_RESTARTS, n_e, n_e))
-    pool = maps, _block_masks(maps), jitter
-    for array in pool:
-        array.flags.writeable = False
-    return pool
+    jitter.flags.writeable = False
+    return (*searched, jitter)
 
 
 def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> float:
@@ -520,29 +555,33 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     so every one of the Bell(|E|) partitions is tried when they fit under
     `DET_CHANNEL_CAP` (through |E| = 9); otherwise `DET_CHANNEL_CAP` seeded
     random maps plus the identity and the |E| constant maps, so the value
-    never exceeds I(A:B).  The pool and each map's block masks do not
-    depend on the joint: `_map_pool` builds them once per (|E|, seed, cap)
-    in a process and keeps the last 8 (2.4 MB for a sampled |E| = 16 pool),
-    so a call pays for the joint's table of every subset's term of
-    I(A:B|F) and the screen of the pool through it.  The maps screened near
-    the best splits are re-scored exactly.  Then L-BFGS-B with the exact
-    gradient on the stochastic-matrix parametrization, from the 4 best
-    deterministic maps that split Eve's alphabet differently: the 4 runs go
-    in lockstep through `minimize`, one objective call answering every run
-    that asks in a round, and each run is the one it would be alone, bit
-    for bit.  Refinement is skipped when a deterministic map already gives
-    exactly 0.  The result is a certified upper bound on the true minimum
-    and never exceeds the unprocessed I(A:B|E).
+    never exceeds I(A:B).  The pool, each map's block masks and the
+    distinct masks among them do not depend on the joint: `_map_pool`
+    builds them once per (|E|, seed, cap) in a process and keeps the last 8
+    (2.4 MB for a sampled |E| = 16 pool; the partition pools are shared by
+    every seed), so a call pays for the joint's term of I(A:B|F) on each
+    subset the pool reads (~4,100 of 65,536 at a sampled |E| = 16) and the
+    screen of the pool through them, one output column at a time.  The maps
+    screened near the best splits are re-scored exactly.  Then L-BFGS-B with
+    the exact gradient on the stochastic-matrix parametrization, from the 4
+    best deterministic maps that split Eve's alphabet differently: the 4
+    runs go in lockstep through `minimize`, one objective call answering
+    every run that asks in a round, and each run is the one it would be
+    alone, bit for bit.  Refinement is skipped when a deterministic map
+    already gives exactly 0.  The result is a certified upper bound on the
+    true minimum and never exceeds the unprocessed I(A:B|E).
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
     conditional distributions.  A ``seed`` that is not an integer raises
-    TypeError.
+    TypeError, and a negative one ValueError, on every joint.
     """
     try:
         seed = operator.index(seed)
     except TypeError:
         raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     p = _reduce_alphabet(_distribution(p_abe, "abe"))
     n_e = p.shape[2]
     if n_e > MAX_EVE_ALPHABET:
@@ -552,8 +591,8 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     if n_e == 1 or best == 0.0:
         return best
 
-    maps, masks, jitter = _map_pool(n_e, seed, DET_CHANNEL_CAP)
-    maps = maps[_shortlist(p, maps, masks)]
+    maps, masks, subsets, jitter = _map_pool(n_e, seed, DET_CHANNEL_CAP)
+    maps = maps[_shortlist(p, maps, masks, subsets)]
     det_values = _det_channel_values(p, maps)
     best = min(best, float(det_values.min()))
     if not refine or best == 0.0:

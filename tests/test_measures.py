@@ -421,9 +421,20 @@ def test_intrinsic_rejects_a_seed_that_is_not_an_integer(seed):
         intrinsic_info(pin_joint("copy", 3), seed=seed)
 
 
-def test_intrinsic_negative_seed_keeps_numpys_error():
-    with pytest.raises(ValueError, match="negative"):
-        intrinsic_info(pin_joint("copy", 3), seed=-1)
+def eve_knows_the_bits() -> np.ndarray:
+    """A = B, and Eve's two symbols hold the bit: I(A:B|E) is exactly 0."""
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = p[1, 1, 1] = 0.5
+    return p
+
+
+@pytest.mark.parametrize("joint", ["one symbol", "zero cmi", "searched"])
+def test_intrinsic_negative_seed_is_refused_on_every_joint(joint):
+    # checked at entry: the first two joints return before any pool is built
+    p = {"one symbol": lambda: np.full((2, 2, 1), 0.25), "zero cmi": eve_knows_the_bits,
+         "searched": lambda: pin_joint("copy", 3)}[joint]()
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, not -1$"):
+        intrinsic_info(p, seed=-1)
 
 
 def test_partitions_are_restricted_growth_strings():
@@ -459,7 +470,7 @@ def test_intrinsic_partitions_never_weaker_than_sampled_maps(monkeypatch):
     assert exhaustive <= intrinsic_info(p, refine=False)
     # the cap is read at each call: the second search is the sampled pool,
     # 500 maps and the 7 constant ones, not the cached exhaustive one
-    assert [maps.shape for maps, _, _ in searched] == [(877, 7), (507, 7)]
+    assert [maps.shape for maps, *_ in searched] == [(877, 7), (507, 7)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -488,13 +499,18 @@ def test_det_channel_values_match_loop_cmi():
         assert abs(value - max(loop_cmi(apply_map(p, g)), 0.0)) < 1e-14
 
 
+def screen_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """`_screen_values` of ``maps`` through their masks and the distinct masks among them."""
+    _, masks, subsets = measures._searched_arrays(maps.copy())
+    return measures._screen_values(p, masks, subsets)
+
+
 def test_screen_matches_det_channel_values_on_every_partition():
     rng = np.random.default_rng(113)
     for n_e in range(2, 10):
         p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
         maps = measures._partitions(n_e)
-        gap = np.abs(measures._screen_values(p, measures._block_masks(maps))
-                 - measures._det_channel_values(p, maps))
+        gap = np.abs(screen_values(p, maps) - measures._det_channel_values(p, maps))
         assert gap.max() <= 1e-13, n_e
 
 
@@ -507,8 +523,7 @@ def test_screen_matches_det_channel_values_on_sampled_maps():
         np.arange(16)[None],  # the identity
         np.repeat(np.arange(16)[:, None], 16, axis=1),  # the constant maps
     ])
-    gap = np.abs(measures._screen_values(p, measures._block_masks(maps))
-                 - measures._det_channel_values(p, maps))
+    gap = np.abs(screen_values(p, maps) - measures._det_channel_values(p, maps))
     assert gap.max() <= 1e-13
 
 
@@ -518,10 +533,9 @@ def test_screen_matches_det_channel_values_with_a_zero_weight_block():
     p /= p.sum()
     maps = np.array([[0, 0, 1, 1, 2, 2], [0, 1, 2, 2, 3, 4], [0, 1, 2, 3, 4, 5],
                      [5, 5, 0, 0, 5, 5], [0, 0, 0, 0, 0, 0]])
-    gap = np.abs(measures._screen_values(p, measures._block_masks(maps))
-                 - measures._det_channel_values(p, maps))
+    gap = np.abs(screen_values(p, maps) - measures._det_channel_values(p, maps))
     assert gap.max() <= 1e-13
-    assert measures._subset_cmi_table(p)[0b1100] == 0.0
+    assert measures._subset_terms(p, np.array([0b1100], dtype=np.uint16))[0] == 0.0
 
 
 def test_block_masks_are_the_preimages_of_each_output():
@@ -539,7 +553,7 @@ def test_block_masks_are_the_preimages_of_each_output():
 @pytest.mark.parametrize("n_e", [7, 16])
 def test_map_pool_is_the_searched_pool(n_e):
     pool = measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP)
-    maps, masks, jitter = pool
+    maps, masks, subsets, jitter = pool
     rng = np.random.default_rng(5)
     if n_e == 7:  # exhaustive: every partition, and the seed reaches the jitter alone
         assert np.array_equal(maps, measures._partitions(7))
@@ -553,6 +567,53 @@ def test_map_pool_is_the_searched_pool(n_e):
     assert np.array_equal(masks, measures._block_masks(maps))
     assert jitter.tobytes() == (0.15 * rng.standard_normal((4, n_e, n_e))).tobytes()
     assert measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP) is pool
+
+
+def test_map_pool_subsets_are_the_distinct_masks():
+    for n_e in [*range(2, 10), 16]:  # every partition pool and a sampled one
+        maps, masks, subsets, _ = measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP)
+        assert subsets.dtype == np.uint16 and np.array_equal(subsets, np.unique(masks)), n_e
+        # stored by column: each output's masks are contiguous for the screen's gather
+        assert masks.flags.f_contiguous and masks[:, -1].flags.c_contiguous, n_e
+
+
+def test_partition_pools_are_shared_by_every_seed():
+    for n_e in (3, 9):
+        first, second = (measures._map_pool(n_e, seed, measures.DET_CHANNEL_CAP)
+                         for seed in (0, 1))
+        assert all(a is b for a, b in zip(first[:3], second[:3])), n_e  # maps, masks, subsets
+        assert first[3].tobytes() != second[3].tobytes(), n_e  # the jitter is the seed's own
+    p = pin_joint("dirichlet", 9)
+    assert intrinsic_info(p, seed=0, refine=False) == intrinsic_info(p, seed=1, refine=False)
+
+
+def loop_subset_term(p: np.ndarray, subset: int) -> float:
+    """phi of ``subset``: I(A:B|F) of its symbols merged into one output, by loops."""
+    q = np.zeros(p.shape[:2])
+    for e in range(p.shape[2]):
+        if subset >> e & 1:
+            q += p[:, :, e]
+    return loop_cmi(q[:, :, None])
+
+
+def test_subset_terms_match_a_loop_over_each_subset():
+    rng = np.random.default_rng(139)
+    zero_block = rng.dirichlet(np.ones(36)).reshape(3, 2, 6)
+    zero_block[:, :, 2:4] = 0.0  # the symbols 2 and 3 carry no mass
+    zero_block /= zero_block.sum()
+    sixteen = rng.dirichlet(np.ones(64)).reshape(2, 2, 16)
+    sampled = np.unique(np.concatenate([rng.integers(0, 1 << 16, size=500), [0, (1 << 16) - 1]]))
+    # all 65,536 subsets of a 3 x 3 x 16 joint take two blocks of 62,500 rows at
+    # most: the seam is checked
+    nine = rng.dirichlet(np.ones(144)).reshape(3, 3, 16)
+    cases = [(zero_block, np.arange(64), np.arange(64)), (sixteen, sampled, sampled),
+             (nine, np.arange(1 << 16), [0, 1, 62_499, 62_500, 62_501, (1 << 16) - 1])]
+    for p, subsets, checked in cases:
+        terms = measures._subset_terms(p, subsets.astype(np.uint16))
+        for subset in checked:
+            assert abs(terms[subset == subsets][0] - loop_subset_term(p, int(subset))) <= 1e-15
+    terms = measures._subset_terms(zero_block, np.array([0, 0b1100], dtype=np.uint16))
+    assert terms.tolist() == [0.0, 0.0]
 
 
 def pin_joint(family: str, n_e: int) -> np.ndarray:
@@ -603,13 +664,18 @@ def test_intrinsic_info_pinned_bit_for_bit(family, n_e, refine):
     assert float.hex(value) == INTRINSIC_PINS[family, n_e, refine]
 
 
+def split_of(g) -> tuple:
+    """The split of Eve's alphabet that map ``g`` makes, its outputs relabeled by first use."""
+    relabel: dict[int, int] = {}
+    return tuple(relabel.setdefault(int(f), len(relabel)) for f in g)
+
+
 def stable_walk_prefix(maps: np.ndarray, values: np.ndarray, splits: int = 4) -> np.ndarray:
     """Indices the stable sort of ``values`` visits up to its ``splits``-th distinct split."""
     order = np.argsort(values, kind="stable")
     seen = set()
     for j, i in enumerate(order):
-        relabel: dict[int, int] = {}
-        seen.add(tuple(relabel.setdefault(int(f), len(relabel)) for f in maps[i]))
+        seen.add(split_of(maps[i]))
         if len(seen) == splits:
             return order[:j + 1]
     return order
@@ -628,11 +694,44 @@ def symmetric_joint() -> np.ndarray:
 def test_shortlist_holds_the_walked_prefix_and_the_argmin(p):
     # the pool that intrinsic_info(p, seed=|E|) searches, the identity row included
     n_e = p.shape[2]
-    maps, masks, _ = measures._map_pool(n_e, n_e, measures.DET_CHANNEL_CAP)
+    maps, masks, subsets, _ = measures._map_pool(n_e, n_e, measures.DET_CHANNEL_CAP)
     exact = measures._det_channel_values(p, maps)
-    kept = set(measures._shortlist(p, maps, masks).tolist())
+    kept = set(measures._shortlist(p, maps, masks, subsets).tolist())
     assert set(stable_walk_prefix(maps, exact).tolist()) <= kept
     assert int(np.argmin(exact)) in kept
+
+
+def full_sort_shortlist(p, maps, masks, subsets) -> np.ndarray:
+    """`_shortlist` with the whole screen sorted."""
+    screen = measures._screen_values(p, masks, subsets)
+    firsts = measures._distinct_splits(maps, np.argsort(screen))
+    cut = screen[firsts[-1]] if len(firsts) == 4 else screen.max()
+    return np.flatnonzero(screen <= cut + measures._SCREEN_MARGIN)
+
+
+@pytest.mark.parametrize("margin", [measures._SCREEN_MARGIN, 0.0], ids=["margin", "no margin"])
+def test_shortlist_prefix_finds_the_full_sort_cut(margin, monkeypatch):
+    # with no margin, the shortlist is the maps screened at most the cut: any
+    # other cut that a screened value separates from it shows
+    monkeypatch.setattr(measures, "_SCREEN_MARGIN", margin)
+    rng = np.random.default_rng(149)
+    p = rng.dirichlet(np.ones(24)).reshape(2, 2, 6)
+    partitions = measures._partitions(6)
+    best = partitions[np.argmin(measures._det_channel_values(p, partitions))]
+    # 100 relabelings of the best split, each through its own masks, screen
+    # least: the first prefix of 64 holds one split and must widen
+    relabeled = np.array([rng.permutation(6)[best] for _ in range(100)])
+    widened = np.concatenate([relabeled, partitions])
+    _, masks, subsets = measures._searched_arrays(widened.copy())
+    first = np.argsort(measures._screen_values(p, masks, subsets))[:measures._SCREEN_PREFIX]
+    assert {split_of(widened[i]) for i in first} == {split_of(best)}
+    cases = [(p, widened), (symmetric_joint(), partitions)]  # the second with many exact ties
+    # pools of 2, 5 and 15 maps, shorter than the prefix; the first has 2 splits only
+    cases += [(pin_joint("dirichlet", n), measures._partitions(n)) for n in (2, 3, 4)]
+    for q, maps in cases:
+        _, masks, subsets = measures._searched_arrays(maps.copy())
+        kept = measures._shortlist(q, maps, masks, subsets)
+        assert np.array_equal(kept, full_sort_shortlist(q, maps, masks, subsets))
 
 
 def test_intrinsic_search_memory_peak():

@@ -6,7 +6,9 @@ Usage:  python3 tools/compare_outputs.py REF
 and for this working tree, a fresh interpreter with one BLAS thread dumps:
 
 - the value of every ``intrinsic-joints`` operation of seeds 0-21 as
-  `float.hex`, once with Eve's map pool cleared (cold) and once again (warm);
+  `float.hex`, once with Eve's map pools cleared (cold) and once again
+  (warm), and the same for its ``refine=False`` value, the deterministic
+  search alone;
 - ``er`` stdout on the random 2x3 state of the ``cold-cli`` workload, seeds
   1-10;
 - stdout, stderr and exit code of about fifty more CLI commands, each in its
@@ -15,14 +17,15 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
 
 The inputs come from ``bench/workloads.py`` of this tree, so both trees see
 the same ones.  Temporary paths are normalized before the comparison.  Exit
-0 when every item is identical; otherwise the first differing items are
-printed and the exit code is 1.  A comparison takes about ten seconds on two
+0 when every item (936 of them) is identical; otherwise the first
+differing items are printed and the exit code is 1.  A comparison takes about ten seconds on two
 cores.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -70,11 +73,22 @@ def dump(tree: Path) -> dict[str, str]:
     items: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for seed in INTRINSIC_SEEDS:
-            for i, op in enumerate(workloads.intrinsic_joints(seed, work).ops):
-                measures._map_pool.cache_clear()
-                items[f"intrinsic seed {seed} op {i} cold"] = float.hex(op.run())
-                items[f"intrinsic seed {seed} op {i} warm"] = float.hex(op.run())
+        intrinsic_info = measures.intrinsic_info
+        # an older tree has no _partition_pool
+        pools = [getattr(measures, name) for name in ("_map_pool", "_partition_pool")
+                 if hasattr(measures, name)]
+        # the operations look measures.intrinsic_info up at each call
+        for refine in (True, False):
+            measures.intrinsic_info = functools.partial(intrinsic_info, refine=refine)
+            unrefined = "" if refine else " unrefined"
+            for seed in INTRINSIC_SEEDS:
+                for i, op in enumerate(workloads.intrinsic_joints(seed, work).ops):
+                    for cache in pools:
+                        cache.cache_clear()
+                    label = f"intrinsic{unrefined} seed {seed} op {i}"
+                    items[f"{label} cold"] = float.hex(op.run())
+                    items[f"{label} warm"] = float.hex(op.run())
+        measures.intrinsic_info = intrinsic_info
         env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
 
         def run(argv: list[str]) -> str:
