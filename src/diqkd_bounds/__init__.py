@@ -72,8 +72,6 @@ from .measures import (
     mutual_info,
 )
 from .polytope import (
-    DeterministicVertex,
-    LinearProgram,
     LocalDecomposition,
     enumerate_vertices,
     max_local_weight,

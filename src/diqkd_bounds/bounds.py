@@ -41,7 +41,7 @@ from .measures import (
     er_bell_diagonal_closed,
     er_isotropic_closed,
 )
-from .polytope import LocalDecomposition, max_local_weight_with_residual
+from .polytope import LocalDecomposition, enumerate_vertices, max_local_weight_with_residual
 from .states import (
     ChannelKind,
     DensityMatrix,
@@ -174,10 +174,11 @@ def _fbjl_joint(nu: float) -> np.ndarray:
     slice by more than 1e-12.
     """
     dec = _fbjl_decomposition(nu)
+    x_count = dec.residual.shape[0]
     columns: dict[object, np.ndarray] = {}
-    for w, v in zip(dec.vertex_weights, dec.vertices):
+    for w, outcomes in zip(dec.vertex_weights, enumerate_vertices(*dec.residual.shape).tolist()):
         if w > 1e-12:
-            cell = (v.a_map[0], v.b_map[0])
+            cell = (outcomes[0], outcomes[x_count])  # the vertex's answers at x = y = 0
             columns.setdefault(cell, np.zeros((2, 2)))[cell] += w
     q_nl = 1.0 - dec.local_weight
     columns["?"] = np.zeros((2, 2))

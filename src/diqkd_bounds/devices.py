@@ -89,7 +89,8 @@ class MeasurementFamily:
     """Per-party, per-input lists of POVM elements.
 
     ``alice[x][a]`` is the element for outcome ``a`` of input ``x``; likewise
-    ``bob[y][b]``.  Every POVM is validated (PSD, completeness) within 1e-9.
+    ``bob[y][b]``.  Every POVM is validated (PSD, completeness) within 1e-9,
+    and all inputs of a party must have the same, positive number of outcomes.
     """
 
     alice: tuple[tuple[np.ndarray, ...], ...]
@@ -100,12 +101,13 @@ class MeasurementFamily:
         bob = tuple(tuple(np.asarray(e, dtype=complex) for e in povm) for povm in self.bob)
         if not alice or not bob:
             raise ValueError("each party needs at least one input")
-        da = alice[0][0].shape[0]
-        db = bob[0][0].shape[0]
-        for x, povm in enumerate(alice):
-            _check_povm(povm, da, f"alice input {x}")
-        for y, povm in enumerate(bob):
-            _check_povm(povm, db, f"bob input {y}")
+        for party, povms in (("alice", alice), ("bob", bob)):
+            counts = [len(povm) for povm in povms]
+            if len(set(counts)) > 1 or counts[0] == 0:
+                raise DimensionMismatchError(f"{party}: inputs have {counts} outcomes, "
+                                             "not one positive count for all")
+            for x, povm in enumerate(povms):
+                _check_povm(povm, povms[0][0].shape[0], f"{party} input {x}")
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
 

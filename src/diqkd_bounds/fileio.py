@@ -48,11 +48,20 @@ def _integer(n) -> int:
     return operator.index(n)
 
 
+def _number(v):
+    """``v``, refusing JSON booleans and strings, which numpy and complex() read as numbers."""
+    if isinstance(v, (bool, str)):
+        raise TypeError(f"expected a number, got {json.dumps(v)}")
+    return v
+
+
 def behavior_from_dict(doc: dict) -> Behavior:
     *counts, p = _fields(doc, ("x_count", "y_count", "a_count", "b_count", "p"), "behavior")
     try:
         expected = tuple(_integer(n) for n in counts)
         table = np.asarray(p, dtype=float)
+        for v in np.asarray(p, dtype=object).flat:  # the same shape, each leaf as given
+            _number(v)
     except TypeError as exc:
         raise ValueError(f"malformed behavior document: {exc}") from exc
     if table.shape != expected:
@@ -81,7 +90,7 @@ def state_from_dict(doc: dict) -> DensityMatrix:
         total = int(np.prod(dims))
         if len(entries) != total * total:
             raise ValueError(f"expected {total * total} entries, got {len(entries)}")
-        flat = np.array([complex(re, im) for re, im in entries])
+        flat = np.array([complex(_number(re), _number(im)) for re, im in entries])
     except TypeError as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     return DensityMatrix(flat.reshape(total, total), dims)

@@ -9,9 +9,7 @@ sizes here are a few dozen variables, so robustness beats speed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,56 +26,29 @@ VERTEX_CAP = 10**6
 PIVOT_TOL = 1e-11
 
 
-class DeterministicVertex(NamedTuple):
-    """Local deterministic strategy: one outcome per input per party."""
-
-    a_map: tuple[int, ...]  # outcome for each Alice input
-    b_map: tuple[int, ...]  # outcome for each Bob input
-
-
 def enumerate_vertices(x_count: int, y_count: int, a_count: int,
-                       b_count: int) -> list[DeterministicVertex]:
-    """All deterministic vertices of the local polytope, lexicographic order.
+                       b_count: int) -> np.ndarray:
+    """Outcome table of the local polytope's deterministic vertices.
 
-    The Alice map varies slowest; total count is a^x * b^y and must not
-    exceed the 10^6 cap.
+    Row i is vertex i: Alice's outcome for each of her inputs, then Bob's for
+    each of his.  Rows are in lexicographic order, Alice's outcomes varying
+    slowest; their count a^x * b^y must not exceed the 10^6 cap.
     """
     if min(x_count, y_count, a_count, b_count) < 1:
         raise ValueError("all cardinalities must be at least 1")
     count = a_count**x_count * b_count**y_count
     if count > VERTEX_CAP:
         raise TooManyVerticesError(f"{count} vertices exceed the cap {VERTEX_CAP}")
-    vertices = []
-    for a_map in itertools.product(range(a_count), repeat=x_count):
-        for b_map in itertools.product(range(b_count), repeat=y_count):
-            vertices.append(DeterministicVertex(a_map, b_map))
-    return vertices
+    grid = np.indices((a_count,) * x_count + (b_count,) * y_count)
+    return grid.reshape(x_count + y_count, count).T
 
 
-def vertex_table(v: DeterministicVertex, y_count_dims: tuple[int, int, int, int]) -> np.ndarray:
-    """Behavior table of a deterministic vertex."""
-    x_count, y_count, a_count, b_count = y_count_dims
-    t = np.zeros((x_count, y_count, a_count, b_count))
-    for x in range(x_count):
-        for y in range(y_count):
-            t[x, y, v.a_map[x], v.b_map[y]] = 1.0
-    return t
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize c.x  subject to  a_ub x <= b_ub, a_eq x == b_eq, x >= 0."""
-
-    c: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-
-
-class SimplexResult(NamedTuple):
-    x: np.ndarray
-    objective: float
+def vertex_array(x_count: int, y_count: int, a_count: int, b_count: int) -> np.ndarray:
+    """0/1 array d[x, y, a, b, i]: 1 where vertex i answers (a, b) to (x, y)."""
+    outcomes = enumerate_vertices(x_count, y_count, a_count, b_count).T
+    alice = outcomes[:x_count, None, :] == np.arange(a_count)[:, None]  # [x, a, i]
+    bob = outcomes[x_count:, None, :] == np.arange(b_count)[:, None]  # [y, b, i]
+    return (alice[:, None, :, None] & bob[None, :, None]).astype(float)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -120,19 +91,19 @@ def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Solve a standard-form LP with a dense two-phase tableau simplex.
+def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> np.ndarray:
+    """Maximize c.x subject to a_ub x <= b_ub, a_eq x == b_eq, x >= 0.
 
-    Returns a primal-feasible solution whose objective is within 1e-8 of the
-    optimum (termination at nonnegative reduced costs certifies optimality of
-    the final basis).  Raises `UnboundedError`, `InfeasibleError`, or
-    `NumericalFailureError`.
+    A dense two-phase tableau simplex.  Returns a primal-feasible x whose
+    objective is within 1e-8 of the optimum (termination at nonnegative
+    reduced costs certifies optimality of the final basis).  Raises
+    `UnboundedError`, `InfeasibleError`, or `NumericalFailureError`.
     """
-    c = np.asarray(lp.c, dtype=float)
+    c = np.asarray(c, dtype=float)
     n = c.size
     if not np.all(np.isfinite(c)):
         raise ValueError("objective contains NaN or Inf entries")
-    (a_ub, b_ub), (a_eq, b_eq) = _rows(lp.a_ub, lp.b_ub, n), _rows(lp.a_eq, lp.b_eq, n)
+    (a_ub, b_ub), (a_eq, b_eq) = _rows(a_ub, b_ub, n), _rows(a_eq, b_eq, n)
     a, b = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
     m, m_ub = b.size, b_ub.size
     if m == 0:
@@ -173,42 +144,31 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
 
     x = np.zeros(n_total)
     x[basis] = tableau[:, -1]
-    x = x[:n]
-    return SimplexResult(x, float(c @ x))
+    return x[:n]
 
 
 @dataclass(frozen=True)
 class LocalDecomposition:
     """Maximal-local-weight split of a behavior.
 
-    ``vertex_weights`` aligns with `enumerate_vertices` order and sums to
-    ``local_weight``; ``residual`` is the normalized nonlocal part (the
-    no-signaling remainder, or the fixed behavior it was solved against) and
-    is flagged unused when the local part carries all the weight.
+    ``vertex_weights`` aligns with the rows of `enumerate_vertices` for the
+    behavior's shape and sums to ``local_weight``; ``residual`` is the
+    normalized nonlocal part (the no-signaling remainder, or the fixed
+    behavior it was solved against) and is flagged unused when the local part
+    carries all the weight.
     """
 
     local_weight: float
     vertex_weights: np.ndarray
-    vertices: tuple[DeterministicVertex, ...]
     residual: Behavior
     residual_used: bool
 
     def reconstruct(self) -> np.ndarray:
         """Reassembled table q_L * local mixture + (1 - q_L) * residual."""
-        shape = self.residual.table.shape
-        t = np.zeros(shape)
-        for w, v in zip(self.vertex_weights, self.vertices):
-            if w > 0.0:
-                t += w * vertex_table(v, shape)
+        t = vertex_array(*self.residual.shape) @ self.vertex_weights
         if self.residual_used:
             t += (1.0 - self.local_weight) * self.residual.table
         return t
-
-
-def _vertex_matrix(shape: tuple[int, int, int, int]) -> tuple[list[DeterministicVertex], np.ndarray]:
-    """Vertices and the matrix whose column j is vertex j's flattened table."""
-    vertices = enumerate_vertices(*shape)
-    return vertices, np.stack([vertex_table(v, shape).reshape(-1) for v in vertices], axis=1)
 
 
 def max_local_weight(b: Behavior) -> LocalDecomposition:
@@ -219,21 +179,18 @@ def max_local_weight(b: Behavior) -> LocalDecomposition:
     no-signaling from the behavior and the vertices.
     """
     shape = b.shape
-    a_count, b_count = shape[2], shape[3]
-    vertices, d = _vertex_matrix(shape)
+    d = vertex_array(*shape).reshape(b.table.size, -1)
     target = np.clip(b.table.reshape(-1), 0.0, None)
-    res = simplex_solve(LinearProgram(c=np.ones(d.shape[1]), a_ub=d, b_ub=target))
-    weights = np.clip(res.x, 0.0, None)
+    weights = np.clip(simplex_solve(np.ones(d.shape[1]), d, target), 0.0, None)
     q_l = float(min(max(weights.sum(), 0.0), 1.0))
     if q_l < 1.0 - 1e-9:
         leftover = (target - d @ weights).reshape(shape)
         residual = Behavior(np.clip(leftover, 0.0, None) / (1.0 - q_l))
         used = True
     else:
-        uniform = np.full(shape, 1.0 / (a_count * b_count))
-        residual = Behavior(uniform)
+        residual = Behavior(np.full(shape, 1.0 / (shape[2] * shape[3])))
         used = False
-    return LocalDecomposition(q_l, weights, tuple(vertices), residual, used)
+    return LocalDecomposition(q_l, weights, residual, used)
 
 
 def max_local_weight_with_residual(b: Behavior, residual: Behavior) -> LocalDecomposition:
@@ -250,13 +207,12 @@ def max_local_weight_with_residual(b: Behavior, residual: Behavior) -> LocalDeco
     shape = b.shape
     if residual.shape != shape:
         raise DimensionMismatchError(f"residual shape {residual.shape} differs from {shape}")
-    vertices, d = _vertex_matrix(shape)
+    d = vertex_array(*shape).reshape(b.table.size, -1)
     r = residual.table.reshape(-1)
     n = d.shape[1]
-    res = simplex_solve(LinearProgram(c=np.ones(n), a_ub=np.ones((1, n)), b_ub=np.ones(1),
-                                      a_eq=d - r[:, None], b_eq=b.table.reshape(-1) - r))
-    weights = np.clip(res.x, 0.0, None)
+    weights = np.clip(simplex_solve(np.ones(n), np.ones((1, n)), np.ones(1), d - r[:, None],
+                                    b.table.reshape(-1) - r), 0.0, None)
     q_l = float(min(max(weights.sum(), 0.0), 1.0))
     if q_l >= 1.0 - 1e-9:
         q_l = 1.0
-    return LocalDecomposition(q_l, weights, tuple(vertices), residual, q_l < 1.0)
+    return LocalDecomposition(q_l, weights, residual, q_l < 1.0)

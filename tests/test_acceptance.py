@@ -39,7 +39,7 @@ from diqkd_bounds import (
 )
 from diqkd_bounds.bounds import cc_sq_multi
 from diqkd_bounds.measures import TWO_SQRT2
-from diqkd_bounds.polytope import enumerate_vertices, vertex_table
+from diqkd_bounds.polytope import vertex_array
 from util import random_density, random_ns_behavior, random_projective_family
 
 
@@ -175,8 +175,7 @@ def test_criterion_7_channel_bounds():
 def test_criterion_8_lp_oracle_equivalence():
     t0 = time.monotonic()
     shape = (2, 2, 2, 2)
-    vertices = enumerate_vertices(*shape)
-    d = np.stack([vertex_table(v, shape).reshape(-1) for v in vertices], axis=1)
+    d = vertex_array(*shape).reshape(16, -1)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):

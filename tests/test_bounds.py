@@ -20,6 +20,7 @@ from diqkd_bounds import (
     channel_di_bound,
     convex_hull_bound,
     dephasing_simulation,
+    enumerate_vertices,
     er_isotropic_closed,
     er_numeric,
     fbjl_bound,
@@ -269,9 +270,10 @@ def per_point_lp_joint(nu):
     dec = max_local_weight_with_residual(behavior, behavior_from(*honest_chsh_device(0.0)))
     symbols = {}
     entries = []
-    for w, v in zip(dec.vertex_weights, dec.vertices):
+    x_count = behavior.shape[0]
+    for w, v in zip(dec.vertex_weights, enumerate_vertices(*behavior.shape).tolist()):
         if w > 1e-12:
-            cell = (v.a_map[0], v.b_map[0])
+            cell = (v[0], v[x_count])
             entries.append(cell + (symbols.setdefault(cell, len(symbols)), w))
     e_q = symbols.setdefault("?", len(symbols))
     if dec.residual_used and 1.0 - dec.local_weight > 1e-12:

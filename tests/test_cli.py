@@ -355,3 +355,32 @@ def test_boolean_counts_and_dims_are_one_line_errors(tmp_path, capsys, case):
     code, out, err = run_cli(capsys, command, "--file", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: malformed {kind} document: expected an integer, got true\n"
+
+
+# numpy reads true as 1.0 and complex() reads it as 1: these documents once
+# gave local weight 1 and relative entropy 0.0 with exit 0
+BOOLEAN_VALUE_DOCS = {
+    "behavior-p": ("localweight", "behavior", load_behavior,
+                   {"x_count": 1, "y_count": 1, "a_count": 2, "b_count": 2,
+                    "p": [[[[True, False], [False, False]]]]}),
+    "state-entries": ("er", "state", load_state, {"dims": [1], "entries": [[True, False]]}),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_VALUE_DOCS))
+def test_boolean_probabilities_and_entries_are_refused(tmp_path, capsys, case):
+    command, kind, load, doc = BOOLEAN_VALUE_DOCS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    message = f"malformed {kind} document: expected a number, got true"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load(path)
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_string_probability_is_refused():
+    doc = {"x_count": 1, "y_count": 1, "a_count": 2, "b_count": 2,
+           "p": [[[["0.5", 0.0], [0.0, 0.5]]]]}  # numpy reads "0.5" as 0.5
+    with pytest.raises(ValueError, match='^malformed behavior document: expected a number, got "0.5"$'):
+        behavior_from_dict(doc)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from diqkd_bounds import (
     CcqState,
     DensityMatrix,
     DimensionMismatchError,
+    MeasurementFamily,
     assemble_ccq,
     behavior_from,
     broadcast_ccq,
@@ -238,6 +240,23 @@ def test_behavior_rejects_non_finite_entries(bad):
     t[1, 0, 0, 1] = bad  # NaN passes every comparison of the other checks
     with pytest.raises(ValueError, match="NaN or Inf"):
         Behavior(t)
+
+
+Z_POVM = observable_povm(PAULI_Z)
+TRINE = (np.eye(2) / 3,) * 3
+
+
+@pytest.mark.parametrize("povms, counts", [
+    ((TRINE, Z_POVM), "[3, 2]"), ((Z_POVM, TRINE), "[2, 3]"), (((),), "[0]"),
+], ids=["three-first", "three-last", "no-outcomes"])
+def test_measurement_family_rejects_ragged_outcome_counts(povms, counts):
+    # a 3-outcome POVM next to Z once gave a behavior of uninitialized cells,
+    # and an input without outcomes an IndexError
+    counts = re.escape(counts)
+    with pytest.raises(DimensionMismatchError, match=f"^alice: inputs have {counts} outcomes"):
+        MeasurementFamily(povms, (Z_POVM,))
+    with pytest.raises(DimensionMismatchError, match=f"^bob: inputs have {counts} outcomes"):
+        MeasurementFamily((Z_POVM,), povms)
 
 
 def test_setting_distribution_rejects_nan():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.optimize import linprog
 
 from diqkd_bounds import (
     Behavior,
-    LinearProgram,
     MeasurementFamily,
     TooManyVerticesError,
     UnboundedError,
@@ -19,7 +19,7 @@ from diqkd_bounds import (
     simplex_solve,
 )
 from diqkd_bounds.errors import DimensionMismatchError, InfeasibleError
-from diqkd_bounds.polytope import vertex_table
+from diqkd_bounds.polytope import vertex_array
 from util import random_ns_behavior
 
 
@@ -58,47 +58,72 @@ def test_vertex_counts():
 
 def test_vertex_lexicographic_order():
     vs = enumerate_vertices(2, 1, 2, 2)
-    assert vs[0].a_map == (0, 0) and vs[0].b_map == (0,)
-    assert vs[1].a_map == (0, 0) and vs[1].b_map == (1,)
-    assert vs[2].a_map == (0, 1) and vs[2].b_map == (0,)
-    assert vs[-1].a_map == (1, 1) and vs[-1].b_map == (1,)
+    assert vs[0].tolist() == [0, 0, 0]
+    assert vs[1].tolist() == [0, 0, 1]
+    assert vs[2].tolist() == [0, 1, 0]
+    assert vs[-1].tolist() == [1, 1, 1]
+
+
+def loop_vertices(x_count, y_count, a_count, b_count):
+    """Outcome table and 0/1 array of the deterministic vertices, by explicit loops."""
+    rows = [alice + bob for alice in itertools.product(range(a_count), repeat=x_count)
+            for bob in itertools.product(range(b_count), repeat=y_count)]
+    d = np.zeros((x_count, y_count, a_count, b_count, len(rows)))
+    for i, row in enumerate(rows):
+        for x in range(x_count):
+            for y in range(y_count):
+                d[x, y, row[x], row[x_count + y], i] = 1.0
+    return np.array(rows), d
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 3, 2)])
+def test_vertices_match_loop_reference(shape):
+    rows, d = loop_vertices(*shape)
+    outcomes = enumerate_vertices(*shape)
+    assert outcomes.dtype.kind == "i" and np.array_equal(outcomes, rows)
+    assert np.array_equal(vertex_array(*shape), d)
 
 
 def test_vertex_cap():
-    with pytest.raises(TooManyVerticesError):
-        enumerate_vertices(8, 8, 8, 8)
+    # 32^2 * 32^2 = 1,048,576 vertices: the table would take 32 MB, the 0/1 array 32 GB
+    tracemalloc.start()
+    try:
+        for build in (enumerate_vertices, vertex_array):
+            for shape in ((8, 8, 8, 8), (2, 2, 32, 32)):
+                with pytest.raises(TooManyVerticesError):
+                    build(*shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_simplex_single_variable():
-    res = simplex_solve(LinearProgram(c=np.array([1.0]), a_ub=[[1.0]], b_ub=[3.0]))
-    assert abs(res.objective - 3.0) < 1e-10
-    assert abs(res.x[0] - 3.0) < 1e-10
+    x = simplex_solve(c=np.array([1.0]), a_ub=[[1.0]], b_ub=[3.0])
+    assert abs(np.array([1.0]) @ x - 3.0) < 1e-10
+    assert abs(x[0] - 3.0) < 1e-10
 
 
 def test_simplex_two_variables():
-    res = simplex_solve(LinearProgram(c=np.array([1.0, 1.0]),
-                                      a_ub=[[1.0, 1.0]], b_ub=[1.0]))
-    assert abs(res.objective - 1.0) < 1e-10
+    c = np.array([1.0, 1.0])
+    x = simplex_solve(c=c, a_ub=[[1.0, 1.0]], b_ub=[1.0])
+    assert abs(c @ x - 1.0) < 1e-10
 
 
 def test_simplex_unbounded():
     with pytest.raises(UnboundedError):
-        simplex_solve(LinearProgram(c=np.array([1.0, 0.0]),
-                                    a_ub=[[0.0, 1.0]], b_ub=[1.0]))
+        simplex_solve(c=np.array([1.0, 0.0]), a_ub=[[0.0, 1.0]], b_ub=[1.0])
 
 
 def test_simplex_infeasible():
     with pytest.raises(InfeasibleError):
-        simplex_solve(LinearProgram(c=np.array([1.0]),
-                                    a_ub=[[1.0]], b_ub=[1.0],
-                                    a_eq=[[1.0]], b_eq=[2.0]))
+        simplex_solve(c=np.array([1.0]), a_ub=[[1.0]], b_ub=[1.0], a_eq=[[1.0]], b_eq=[2.0])
 
 
 def test_simplex_equality_constraints():
-    res = simplex_solve(LinearProgram(c=np.array([2.0, 1.0]),
-                                      a_ub=[[1.0, 0.0]], b_ub=[0.4],
-                                      a_eq=[[1.0, 1.0]], b_eq=[1.0]))
-    assert abs(res.objective - 1.4) < 1e-10
+    c = np.array([2.0, 1.0])
+    x = simplex_solve(c=c, a_ub=[[1.0, 0.0]], b_ub=[0.4], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    assert abs(c @ x - 1.4) < 1e-10
 
 
 def test_simplex_vs_brute_force_random_small():
@@ -113,11 +138,11 @@ def test_simplex_vs_brute_force_random_small():
         if oracle > 1e8:
             continue
         try:
-            res = simplex_solve(LinearProgram(c=c, a_ub=a, b_ub=b))
+            x = simplex_solve(c=c, a_ub=a, b_ub=b)
         except UnboundedError:
             # brute force only sees bounded bases; verify a certificate ray
             continue
-        assert abs(res.objective - oracle) < 1e-8
+        assert abs(c @ x - oracle) < 1e-8
 
 
 def test_simplex_vs_brute_force_twenty_variables():
@@ -127,13 +152,14 @@ def test_simplex_vs_brute_force_twenty_variables():
         a = rng.uniform(0.0, 1.0, (m, n))
         b = rng.uniform(0.5, 2.0, m)
         c = rng.uniform(0.0, 1.0, n)
-        res = simplex_solve(LinearProgram(c=c, a_ub=a, b_ub=b))
+        x = simplex_solve(c=c, a_ub=a, b_ub=b)
         oracle = brute_force_lp(c, a, b)
-        assert abs(res.objective - oracle) < 1e-8
+        assert abs(c @ x - oracle) < 1e-8
 
 
-def random_mixed_lp(rng) -> LinearProgram:
-    """Random LP with up to three <= rows and two == rows, each rhs of either sign."""
+def random_mixed_lp(rng) -> dict:
+    """Keyword arguments of `simplex_solve` for a random LP with up to three
+    <= rows and two == rows, each rhs of either sign."""
     n = int(rng.integers(1, 6))
     m_ub, m_eq = int(rng.integers(0, 4)), int(rng.integers(0, 3))
     if m_ub + m_eq == 0:
@@ -141,8 +167,9 @@ def random_mixed_lp(rng) -> LinearProgram:
     c = rng.standard_normal(n)
     a_ub, b_ub = rng.standard_normal((m_ub, n)), rng.standard_normal(m_ub)
     a_eq, b_eq = rng.standard_normal((m_eq, n)), rng.standard_normal(m_eq)
-    return LinearProgram(c, *((a_ub, b_ub) if m_ub else (None, None)),
-                         *((a_eq, b_eq) if m_eq else (None, None)))
+    return dict(zip(("c", "a_ub", "b_ub", "a_eq", "b_eq"),
+                    (c, *((a_ub, b_ub) if m_ub else (None, None)),
+                     *((a_eq, b_eq) if m_eq else (None, None)))))
 
 
 def test_simplex_mixed_rows_match_highs():
@@ -151,10 +178,10 @@ def test_simplex_mixed_rows_match_highs():
     statuses = []
     for i in range(600):
         lp = random_mixed_lp(rng)
-        ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                      bounds=(0, None), method="highs")
+        ref = linprog(-lp["c"], A_ub=lp["a_ub"], b_ub=lp["b_ub"], A_eq=lp["a_eq"],
+                      b_eq=lp["b_eq"], bounds=(0, None), method="highs")
         try:
-            res = simplex_solve(lp)
+            x = simplex_solve(**lp)
             status = 0
         except InfeasibleError:
             status = 2
@@ -163,25 +190,25 @@ def test_simplex_mixed_rows_match_highs():
         assert status == ref.status, i
         statuses.append(status)
         if status == 0:
-            assert abs(res.objective + ref.fun) < 1e-8, i
-            assert res.x.min() >= -1e-8, i
-            if lp.a_ub is not None:
-                assert np.max(lp.a_ub @ res.x - lp.b_ub) <= 1e-8, i
-            if lp.a_eq is not None:
-                assert np.max(np.abs(lp.a_eq @ res.x - lp.b_eq)) <= 1e-8, i
+            assert abs(lp["c"] @ x + ref.fun) < 1e-8, i
+            assert x.min() >= -1e-8, i
+            if lp["a_ub"] is not None:
+                assert np.max(lp["a_ub"] @ x - lp["b_ub"]) <= 1e-8, i
+            if lp["a_eq"] is not None:
+                assert np.max(np.abs(lp["a_eq"] @ x - lp["b_eq"])) <= 1e-8, i
     assert {0, 2, 3} <= set(statuses)
 
 
 @pytest.mark.parametrize("lp, error", [
-    (LinearProgram(c=np.array([1.0]), a_ub=[[1.0]], b_ub=None), ValueError),
-    (LinearProgram(c=np.array([1.0]), a_ub=[[1.0]], b_ub=[math.nan]), ValueError),
-    (LinearProgram(c=np.array([math.inf]), a_ub=[[1.0]], b_ub=[1.0]), ValueError),
-    (LinearProgram(c=np.ones(2), a_ub=[[1.0, 1.0]], b_ub=[1.0, 5.0]), DimensionMismatchError),
-    (LinearProgram(c=np.ones(2), a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]), DimensionMismatchError),
+    (dict(c=np.array([1.0]), a_ub=[[1.0]], b_ub=None), ValueError),
+    (dict(c=np.array([1.0]), a_ub=[[1.0]], b_ub=[math.nan]), ValueError),
+    (dict(c=np.array([math.inf]), a_ub=[[1.0]], b_ub=[1.0]), ValueError),
+    (dict(c=np.ones(2), a_ub=[[1.0, 1.0]], b_ub=[1.0, 5.0]), DimensionMismatchError),
+    (dict(c=np.ones(2), a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]), DimensionMismatchError),
 ], ids=["missing-rhs", "nan-rhs", "inf-objective", "extra-rhs", "extra-column"])
 def test_simplex_rejects_malformed_lp(lp, error):
     with pytest.raises(error):
-        simplex_solve(lp)
+        simplex_solve(**lp)
 
 
 def test_max_local_weight_deterministic_is_one():
@@ -231,8 +258,7 @@ def test_local_weight_reconstruction_on_random_behaviors():
 def test_local_weight_agrees_with_scipy():
     rng = np.random.default_rng(83)
     shape = (2, 2, 2, 2)
-    vertices = enumerate_vertices(*shape)
-    d = np.stack([vertex_table(v, shape).reshape(-1) for v in vertices], axis=1)
+    d = vertex_array(*shape).reshape(16, -1)
     for _ in range(50):
         b = random_ns_behavior(rng)
         dec = max_local_weight(b)
@@ -245,8 +271,7 @@ def test_local_weight_agrees_with_scipy():
 def test_local_weight_mixing_monotonicity():
     rng = np.random.default_rng(89)
     shape = (2, 2, 2, 2)
-    vertex = enumerate_vertices(*shape)[5]
-    vt = vertex_table(vertex, shape)
+    vt = vertex_array(*shape)[..., 5]
     for _ in range(20):
         b = random_ns_behavior(rng)
         base = max_local_weight(b).local_weight
@@ -281,16 +306,16 @@ def test_fixed_residual_honest_device_weight_is_nu_over_frontier():
 def test_fixed_residual_agrees_with_scipy():
     rng = np.random.default_rng(97)
     shape = (2, 2, 2, 2)
-    vertices = enumerate_vertices(*shape)
-    d = np.stack([vertex_table(v, shape).reshape(-1) for v in vertices], axis=1)
+    d = vertex_array(*shape).reshape(16, -1)
+    n = d.shape[1]
     for _ in range(30):
         residual = random_ns_behavior(rng)
-        local = np.tensordot(rng.dirichlet(np.ones(len(vertices))), d, axes=(0, 1))
+        local = np.tensordot(rng.dirichlet(np.ones(n)), d, axes=(0, 1))
         t = rng.uniform(0.0, 1.0)
         b = Behavior(t * local.reshape(shape) + (1 - t) * residual.table)
         dec = max_local_weight_with_residual(b, residual)
         r = residual.table.reshape(-1)
-        ref = linprog(-np.ones(len(vertices)), A_ub=np.ones((1, len(vertices))), b_ub=[1.0],
+        ref = linprog(-np.ones(n), A_ub=np.ones((1, n)), b_ub=[1.0],
                       A_eq=d - r[:, None], b_eq=b.table.reshape(-1) - r,
                       bounds=(0, None), method="highs")
         assert ref.status == 0

@@ -68,9 +68,9 @@ def random_ns_behavior(rng):
     variants, which together are exactly the vertices of that polytope.
     """
     from diqkd_bounds import Behavior
-    from diqkd_bounds.polytope import enumerate_vertices, vertex_table
+    from diqkd_bounds.polytope import vertex_array
 
-    tables = [vertex_table(v, (2, 2, 2, 2)) for v in enumerate_vertices(2, 2, 2, 2)]
+    tables = list(np.moveaxis(vertex_array(2, 2, 2, 2), -1, 0))
     for mu in range(2):
         for sigma in range(2):
             for tau in range(2):

@@ -12,12 +12,14 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
 - ``er`` stdout on the random 2x3 state of the ``cold-cli`` workload, seeds
   1-10;
 - stdout, stderr and exit code of about fifty more CLI commands, each in its
-  own process: every curve, ``device``, ``localweight``, both ``simulate``
-  kinds at five values of p in both formats, and three errors.
+  own process: every curve, ``device``, ``localweight`` on the honest
+  behavior and on a fixed behavior of shape (2, 3, 3, 2) (`mixed_behavior`),
+  both ``simulate`` kinds at five values of p in both formats, and three
+  errors.
 
-The inputs come from ``bench/workloads.py`` of this tree, so both trees see
-the same ones.  Temporary paths are normalized before the comparison.  Exit
-0 when every item (936 of them) is identical; otherwise the first
+The inputs come from ``bench/workloads.py`` of this tree and from
+`mixed_behavior`, so both trees see the same ones.  Temporary paths are normalized before the comparison.  Exit
+0 when every item (938 of them) is identical; otherwise the first
 differing items are printed and the exit code is 1.  A comparison takes about ten seconds on two
 cores.
 """
@@ -34,6 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 INTRINSIC_SEEDS = range(22)
@@ -42,7 +46,28 @@ SIMULATE_PS = ("0", "0.1", "0.2", "0.25", "0.29")
 SHOWN_DIFFERENCES = 5
 
 
-def cli_commands(behavior: Path, state: Path) -> list[list[str]]:
+def mixed_behavior() -> dict:
+    """A behavior document of shape (2, 3, 3, 2) whose local weight is below 1.
+
+    Three deterministic vertices (weights 0.2, 0.15, 0.1) plus, with weight
+    0.55, a no-signaling box that is a PR box on x, y in {0, 1} and perfectly
+    correlated at y = 2, with Alice's outcome 2 unused.  Its vertex indices
+    and residual show any change of the vertex order.
+    """
+    p = np.zeros((2, 3, 3, 2))
+    for w, a_map, b_map in ((0.2, (0, 2), (1, 0, 1)), (0.15, (2, 1), (0, 0, 1)),
+                            (0.1, (1, 1), (1, 1, 0))):
+        for x in range(2):
+            for y in range(3):
+                p[x, y, a_map[x], b_map[y]] += w
+    for x in range(2):
+        for y in range(3):
+            for a in range(2):
+                p[x, y, a, (a + x * y) % 2 if y < 2 else a] += 0.55 / 2
+    return {"x_count": 2, "y_count": 3, "a_count": 3, "b_count": 2, "p": p.tolist()}
+
+
+def cli_commands(behavior: Path, state: Path, mixed: Path) -> list[list[str]]:
     """The argv of every CLI command whose output is compared."""
     named = ("al", "fbjl", "hull", "fractional", "pironio")
     commands = [["curve", name, "--grid", "64", "--format", fmt]
@@ -52,8 +77,8 @@ def cli_commands(behavior: Path, state: Path) -> list[list[str]]:
     commands += [["curve", "channel", "--kind", kind, "--grid", "33"]
                  for kind in ("dephasing", "depolarizing", "erasure")]
     commands += [["device", "--nu", "0.1", "--format", fmt] for fmt in ("json", "csv")]
-    commands += [["localweight", "--file", str(behavior), "--format", fmt]
-                 for fmt in ("json", "csv")]
+    commands += [["localweight", "--file", str(path), "--format", fmt]
+                 for path in (behavior, mixed) for fmt in ("json", "csv")]
     commands += [["simulate", "--kind", kind, "--p", p, "--format", fmt]
                  for kind in ("depolarizing", "erasure") for p in SIMULATE_PS
                  for fmt in ("json", "csv")]
@@ -106,7 +131,9 @@ def dump(tree: Path) -> dict[str, str]:
                                  "--seed", str(seed)])
             items[f"er cold-cli seed {seed}"] = json.dumps([code, buf.getvalue()])
         inputs = work / "cold-cli-1"
-        for argv in cli_commands(inputs / "behavior.json", inputs / "isotropic.json"):
+        mixed = work / "mixed.json"
+        mixed.write_text(json.dumps(mixed_behavior()))
+        for argv in cli_commands(inputs / "behavior.json", inputs / "isotropic.json", mixed):
             items[" ".join(argv)] = run(argv)
     def normalized(text: str) -> str:
         return text.replace(tmp, "<tmp>").replace(str(tree), "<tree>")
