@@ -418,21 +418,15 @@ class SimulationReport:
         object.__setattr__(self, "qber_match", bool(self.qber_deviation <= 1e-9))
 
 
-def _erasure_extended(povm: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Lift a qubit POVM to the erasure qutrit, flag split evenly.
+def _erasure_extended(povms: np.ndarray) -> np.ndarray:
+    """Lift a stack of qubit POVMs [input, outcome] to the erasure qutrit, flag split evenly.
 
     The even split makes erased rounds contribute a uniform bit, so every
     CHSH correlator of the erased fraction vanishes.
     """
-    out = []
     flag = np.zeros((3, 3), dtype=complex)
-    flag[2, 2] = 1.0
-    share = 1.0 / len(povm)
-    for e in povm:
-        lifted = np.zeros((3, 3), dtype=complex)
-        lifted[:2, :2] = e
-        out.append(lifted + share * flag)
-    return tuple(out)
+    flag[2, 2] = 1.0 / povms.shape[1]
+    return np.pad(povms, ((0, 0), (0, 0), (0, 1), (0, 1))) + flag
 
 
 def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
@@ -458,9 +452,7 @@ def dephasing_simulation(kind: ChannelKind, p: float) -> SimulationReport:
     # target device: channel on Bob's half of Phi+, honest measurements
     honest = honest_chsh_device(0.0)[1]
     target_state = choi_state(QubitChannel(kind, p))
-    bob_target = honest.bob
-    if kind == "erasure":
-        bob_target = tuple(_erasure_extended(e) for e in honest.bob)
+    bob_target = _erasure_extended(honest.bob) if kind == "erasure" else honest.bob
     target_behavior = behavior_from(target_state, MeasurementFamily(honest.alice, bob_target))
     omega_target = chsh_value(target_behavior)
 

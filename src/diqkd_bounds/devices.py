@@ -34,38 +34,24 @@ NEGATIVE_CLAMP = 1e-12
 EveMap = Callable[[np.ndarray], np.ndarray]
 
 
-def observable_povm(observable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projective POVM of a +-1-valued qubit observable.
+def observable_povm(observable: np.ndarray) -> np.ndarray:
+    """Projective POVM of a +-1-valued qubit observable, as a (2, d, d) stack.
 
     Outcome 0 is the +1 eigenspace projector, outcome 1 the -1 eigenspace.
     """
     obs = np.asarray(observable, dtype=complex)
-    plus = (np.eye(obs.shape[0]) + obs) / 2.0
-    minus = (np.eye(obs.shape[0]) - obs) / 2.0
-    return plus, minus
+    eye = np.eye(obs.shape[0])
+    return np.stack([(eye + obs) / 2.0, (eye - obs) / 2.0])
 
 
-def mixed_key_povm(q: float) -> tuple[np.ndarray, np.ndarray]:
+def mixed_key_povm(q: float) -> np.ndarray:
     """Z measurement mixed with a sigma_x measurement with weight 2q."""
-    pz = observable_povm(PAULI_Z)
-    px = observable_povm(PAULI_X)
-    return tuple((1.0 - 2.0 * q) * pz[b] + 2.0 * q * px[b] for b in range(2))
+    return (1.0 - 2.0 * q) * observable_povm(PAULI_Z) + 2.0 * q * observable_povm(PAULI_X)
 
 
-def noisy_key_povm(p_err: float) -> tuple[np.ndarray, np.ndarray]:
+def noisy_key_povm(p_err: float) -> np.ndarray:
     """Z measurement replaced by a uniformly random bit with probability 2*p_err."""
-    pz = observable_povm(PAULI_Z)
-    return tuple((1.0 - 2.0 * p_err) * pz[b] + 2.0 * p_err * PAULI_I / 2.0 for b in range(2))
-
-
-def _check_povm(elements: Sequence[np.ndarray], dim: int, label: str):
-    shapes = {e.shape for e in elements}
-    if shapes != {(dim, dim)}:
-        raise DimensionMismatchError(f"{label}: elements are {sorted(shapes)}, not {(dim, dim)}")
-    elements = np.stack(elements)
-    psd_spectrum(elements, what=f"{label}: POVM element")
-    if np.linalg.norm(elements.sum(axis=0) - np.eye(dim)) > POVM_TOL:
-        raise ValueError(f"{label}: POVM elements do not sum to identity")
+    return (1.0 - 2.0 * p_err) * observable_povm(PAULI_Z) + 2.0 * p_err * PAULI_I / 2.0
 
 
 def _probabilities(p, what: str, axis=None) -> np.ndarray:
@@ -84,43 +70,43 @@ def _probabilities(p, what: str, axis=None) -> np.ndarray:
     return t
 
 
+def _povm_stack(povms, party: str) -> np.ndarray:
+    """``povms[x][a]`` as a read-only complex stack [input, outcome, i, j], checked as POVMs."""
+    counts = [len(povm) for povm in povms]
+    if not counts:
+        raise ValueError(f"{party}: needs at least one input")
+    if len(set(counts)) > 1 or counts[0] == 0:
+        raise DimensionMismatchError(f"{party}: inputs have {counts} outcomes, "
+                                     "not one positive count for all")
+    shapes = sorted({np.shape(e) for povm in povms for e in povm})
+    if len(shapes) > 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise DimensionMismatchError(f"{party}: elements are {shapes}, not square of one size")
+    stack = np.array(povms, dtype=complex)
+    psd_spectrum(stack, what=f"{party}: POVM element")
+    off = np.linalg.norm(stack.sum(axis=1) - np.eye(shapes[0][0]), axis=(-2, -1)) > POVM_TOL
+    if np.any(off):
+        raise ValueError(f"{party} input {np.argmax(off)}: POVM elements do not sum to identity")
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True)
 class MeasurementFamily:
-    """Per-party, per-input lists of POVM elements.
+    """Each party's POVMs as one stack indexed [input, outcome, i, j].
 
-    ``alice[x][a]`` is the element for outcome ``a`` of input ``x``; likewise
-    ``bob[y][b]``.  Every POVM is validated (PSD, completeness) within 1e-9,
-    and all inputs of a party must have the same, positive number of outcomes.
+    ``alice[x, a]`` is the element for outcome ``a`` of input ``x``; likewise
+    ``bob[y, b]``.  Any nesting of that shape is accepted and stored as a
+    read-only complex array.  All inputs of a party must have the same,
+    positive number of outcomes, and every POVM is validated (PSD,
+    completeness) within 1e-9.
     """
 
-    alice: tuple[tuple[np.ndarray, ...], ...]
-    bob: tuple[tuple[np.ndarray, ...], ...]
+    alice: np.ndarray
+    bob: np.ndarray
 
     def __post_init__(self):
-        alice = tuple(tuple(np.asarray(e, dtype=complex) for e in povm) for povm in self.alice)
-        bob = tuple(tuple(np.asarray(e, dtype=complex) for e in povm) for povm in self.bob)
-        if not alice or not bob:
-            raise ValueError("each party needs at least one input")
-        for party, povms in (("alice", alice), ("bob", bob)):
-            counts = [len(povm) for povm in povms]
-            if len(set(counts)) > 1 or counts[0] == 0:
-                raise DimensionMismatchError(f"{party}: inputs have {counts} outcomes, "
-                                             "not one positive count for all")
-            for x, povm in enumerate(povms):
-                _check_povm(povm, povms[0][0].shape[0], f"{party} input {x}")
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
-
-    @property
-    def x_count(self) -> int:
-        return len(self.alice)
-
-    @property
-    def y_count(self) -> int:
-        return len(self.bob)
-
-    def outcome_counts(self) -> tuple[int, int]:
-        return len(self.alice[0]), len(self.bob[0])
+        for party in ("alice", "bob"):
+            object.__setattr__(self, party, _povm_stack(getattr(self, party), party))
 
 
 @dataclass(frozen=True)
@@ -218,19 +204,14 @@ def povm_map(elements: Sequence[np.ndarray]) -> EveMap:
 
 def behavior_from(state: DensityMatrix, m: MeasurementFamily) -> Behavior:
     """p(a, b | x, y) = tr[(A_a^x (x) B_b^y) rho]."""
-    da = m.alice[0][0].shape[0]
-    db = m.bob[0][0].shape[0]
+    da, db = m.alice.shape[-1], m.bob.shape[-1]
     if state.dim != da * db:
         raise DimensionMismatchError(
             f"state dimension {state.dim} incompatible with measurements {da}x{db}"
         )
-    n_a, n_b = m.outcome_counts()
-    table = np.empty((m.x_count, m.y_count, n_a, n_b))
-    for x, apovm in enumerate(m.alice):
-        for y, bpovm in enumerate(m.bob):
-            for a, ea in enumerate(apovm):
-                for b, eb in enumerate(bpovm):
-                    table[x, y, a, b] = float(np.trace(kron(ea, eb) @ state.matrix).real)
+    table = np.empty((len(m.alice), len(m.bob), m.alice.shape[1], m.bob.shape[1]))
+    for x, y, a, b in np.ndindex(table.shape):
+        table[x, y, a, b] = float(np.trace(kron(m.alice[x, a], m.bob[y, b]) @ state.matrix).real)
     return Behavior(table)
 
 
@@ -328,8 +309,9 @@ def _eve_operators(state: DensityMatrix, pair_povm, eve_map: EveMap | None) -> n
 def _input_distribution(family: MeasurementFamily, p_xy: np.ndarray) -> np.ndarray:
     """``p_xy`` as a float array, checked to be a distribution over the family's settings."""
     p = np.asarray(p_xy, dtype=float)
-    if p.shape != (family.x_count, family.y_count):
-        raise DimensionMismatchError(f"p_xy must have shape {(family.x_count, family.y_count)}")
+    settings = (len(family.alice), len(family.bob))
+    if p.shape != settings:
+        raise DimensionMismatchError(f"p_xy must have shape {settings}")
     return _probabilities(p, "p_xy")
 
 
@@ -342,11 +324,9 @@ def _setting_ops(state: DensityMatrix, family: MeasurementFamily,
     ``p_xy`` given, settings of zero weight are skipped.
     """
     maps = eve_maps or {}
-    for x in range(family.x_count):
-        for y in range(family.y_count):
-            if p_xy is None or p_xy[x, y] > 0.0:
-                yield x, y, _eve_operators(state, (family.alice[x], family.bob[y]),
-                                           maps.get((x, y)))
+    for x, y in np.ndindex(len(family.alice), len(family.bob)):
+        if p_xy is None or p_xy[x, y] > 0.0:
+            yield x, y, _eve_operators(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
 
 
 def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,
@@ -359,7 +339,7 @@ def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndar
     """
     p = _input_distribution(family, p_xy)
     blocks = [(p[x, y], ops) for x, y, ops in _setting_ops(state, family, eve_maps)]
-    n_a, n_b = family.outcome_counts()
+    n_a, n_b = family.alice.shape[1], family.bob.shape[1]
     d_total = sum(ops.shape[2] for _, ops in blocks)
     arr = np.zeros((n_a, n_b, d_total, d_total), dtype=complex)
     offset = 0

@@ -22,7 +22,9 @@ from .errors import (
     UnboundedError,
 )
 
-VERTEX_CAP = 10**6
+# cells of `vertex_array`, vertices * x*y*a*b: building the LP of shape
+# (8, 8, 2, 2), 2^24 cells, peaks at 0.5 GiB; (2, 2, 31, 31) would need 28 GB
+VERTEX_CELL_CAP = 2**24
 PIVOT_TOL = 1e-11
 
 
@@ -32,13 +34,16 @@ def enumerate_vertices(x_count: int, y_count: int, a_count: int,
 
     Row i is vertex i: Alice's outcome for each of her inputs, then Bob's for
     each of his.  Rows are in lexicographic order, Alice's outcomes varying
-    slowest; their count a^x * b^y must not exceed the 10^6 cap.
+    slowest.  Their count a^x * b^y times the x*y*a*b cells of each vertex's
+    table, the size of `vertex_array`, must not exceed `VERTEX_CELL_CAP`.
     """
     if min(x_count, y_count, a_count, b_count) < 1:
         raise ValueError("all cardinalities must be at least 1")
     count = a_count**x_count * b_count**y_count
-    if count > VERTEX_CAP:
-        raise TooManyVerticesError(f"{count} vertices exceed the cap {VERTEX_CAP}")
+    cells = count * x_count * y_count * a_count * b_count
+    if cells > VERTEX_CELL_CAP:
+        raise TooManyVerticesError(f"{count} vertices of {cells // count} cells exceed "
+                                   f"the cap of {VERTEX_CELL_CAP} cells")
     grid = np.indices((a_count,) * x_count + (b_count,) * y_count)
     return grid.reshape(x_count + y_count, count).T
 

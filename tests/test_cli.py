@@ -290,6 +290,16 @@ def test_localweight_nan_behavior_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_localweight_too_large_to_hold_is_one_line_error(tmp_path, capsys):
+    # 923,521 vertices of 3,844 cells: the LP matrix alone would take 28 GB
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"x_count": 2, "y_count": 2, "a_count": 31, "b_count": 31,
+                                "p": [[[[1 / 31**2] * 31] * 31] * 2] * 2}))
+    code, out, err = run_cli(capsys, "localweight", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: 923521 vertices of 3844 cells exceed the cap of 16777216 cells\n"
+
+
 @pytest.mark.parametrize("command,text", [
     ("localweight", "5"),
     ("localweight", '{"x_count": null, "y_count": 2, "a_count": 2, "b_count": 2, "p": []}'),

@@ -223,15 +223,16 @@ def test_broadcast_normalization():
 
 
 def test_behavior_rejects_signaling_table():
-    t = np.full((2, 2, 2, 2), 0.25)
-    t[0, 0] = [[0.5, 0.0], [0.0, 0.5]]  # Alice marginal fine, Bob's depends on x
-    t[1, 0] = [[0.45, 0.05], [0.05, 0.45]]
-    t[1, 1] = [[0.45, 0.05], [0.05, 0.45]]
-    t[0, 1] = [[0.5, 0.0], [0.0, 0.5]]
-    # make Bob's y=0 marginal differ across x while keeping slices normalized
-    t[1, 0] = [[0.9, 0.0], [0.1, 0.0]]
-    with pytest.raises(ValueError):
-        Behavior(t)
+    # each table moves one party's marginal with the other's input and keeps
+    # the other party's marginals fixed, so each reaches its own check
+    alice_signals = np.full((2, 2, 2, 2), 0.25)
+    alice_signals[0, 1] = [[0.5, 0.5], [0.0, 0.0]]  # Alice's x = 0 marginal is (1, 0) at y = 1
+    with pytest.raises(ValueError, match="^Alice marginal depends on y"):
+        Behavior(alice_signals)
+    bob_signals = np.full((2, 2, 2, 2), 0.25)
+    bob_signals[1, 0] = [[0.5, 0.0], [0.5, 0.0]]  # Bob's y = 0 marginal is (1, 0) at x = 1
+    with pytest.raises(ValueError, match="^Bob marginal depends on x"):
+        Behavior(bob_signals)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -257,6 +258,60 @@ def test_measurement_family_rejects_ragged_outcome_counts(povms, counts):
         MeasurementFamily(povms, (Z_POVM,))
     with pytest.raises(DimensionMismatchError, match=f"^bob: inputs have {counts} outcomes"):
         MeasurementFamily((Z_POVM,), povms)
+
+
+# each refusal of the device layer: (the call, the error, the start of its message)
+REFUSALS = {
+    "no-inputs": (lambda: MeasurementFamily((), (Z_POVM,)),
+                  ValueError, "alice: needs at least one input"),
+    "mixed-sizes": (lambda: MeasurementFamily((Z_POVM, (np.eye(3) / 2,) * 2), (Z_POVM,)),
+                    DimensionMismatchError, r"alice: elements are \[\(2, 2\), \(3, 3\)\]"),
+    "non-square": (lambda: MeasurementFamily((Z_POVM,), ((np.ones((2, 3)) / 2,) * 2,)),
+                   DimensionMismatchError, r"bob: elements are \[\(2, 3\)\]"),
+    "not-psd": (lambda: MeasurementFamily((Z_POVM,), (Z_POVM, (np.diag([1 + 1e-6, 0]),
+                                                               np.diag([-1e-6, 1])))),
+                ValueError, r"bob: POVM element \(1, 1\) has eigenvalue -1\.000e-06"),
+    "not-identity": (lambda: MeasurementFamily((Z_POVM, (np.eye(2) / 2, np.eye(2) / 3)),
+                                               (Z_POVM,)),
+                     ValueError, "alice input 1: POVM elements do not sum to identity"),
+    "behavior-ndim": (lambda: Behavior(np.full((2, 2, 4), 0.25)), DimensionMismatchError,
+                      r"behavior table must be indexed \[x\]\[y\]\[a\]\[b\]"),
+    "ccq-shape": (lambda: CcqState(np.eye(2) / 2),
+                  DimensionMismatchError, r"eve_ops must have shape \(nA, nB, dE, dE\)"),
+    "ccq-trace": (lambda: CcqState(2 * _uniform_eve_ops()),
+                  ValueError, "Eve operator traces sum to 2.000000000, not 1"),
+    "state-dimension": (lambda: behavior_from(make_isotropic(0.1),  # Bob: one qutrit outcome
+                                              MeasurementFamily((Z_POVM,), ((np.eye(3),),))),
+                        DimensionMismatchError,
+                        "state dimension 4 incompatible with measurements 2x3"),
+    "chsh-outcomes": (lambda: chsh_value(Behavior(np.full((3, 2, 3, 2), 1 / 6))),
+                      BadSettingError, "CHSH needs binary outcomes"),
+    "ccq-tripartite": (lambda: assemble_ccq(DensityMatrix(np.eye(8) / 8, (2, 2, 2)),
+                                            (Z_POVM, Z_POVM)),
+                       DimensionMismatchError, "assemble_ccq expects a bipartite state"),
+    "ccq-eve-map": (lambda: assemble_ccq(make_isotropic(0.1), (Z_POVM, Z_POVM), lambda op: 2 * op),
+                    ValueError, "eve_map does not preserve the trace"),
+    "p-xy-shape": (lambda: broadcast_ccq(*honest_chsh_device(0.1), np.full((2, 3), 1 / 6)),
+                   DimensionMismatchError, r"p_xy must have shape \(3, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_device_layer_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+def test_measurement_family_is_one_read_only_stack_per_party():
+    state, fam = honest_chsh_device(0.1)
+    for stack, inputs in ((fam.alice, 3), (fam.bob, 2)):
+        assert stack.shape == (inputs, 2, 2, 2) and stack.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 0.0
+    nested = MeasurementFamily(tuple(map(tuple, fam.alice)), tuple(map(tuple, fam.bob)))
+    assert np.array_equal(nested.alice, fam.alice) and np.array_equal(nested.bob, fam.bob)
+    assert np.array_equal(observable_povm(PAULI_Z), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
 
 
 def test_setting_distribution_rejects_nan():

@@ -85,11 +85,12 @@ def test_vertices_match_loop_reference(shape):
 
 
 def test_vertex_cap():
-    # 32^2 * 32^2 = 1,048,576 vertices: the table would take 32 MB, the 0/1 array 32 GB
+    # 32^2 * 32^2 = 1,048,576 vertices: the table would take 32 MB, the 0/1 array 32 GB;
+    # (2, 2, 31, 31) has 923,521 vertices, whose 0/1 array would take 28 GB
     tracemalloc.start()
     try:
         for build in (enumerate_vertices, vertex_array):
-            for shape in ((8, 8, 8, 8), (2, 2, 32, 32)):
+            for shape in ((8, 8, 8, 8), (2, 2, 32, 32), (2, 2, 31, 31)):
                 with pytest.raises(TooManyVerticesError):
                     build(*shape)
         peak = tracemalloc.get_traced_memory()[1]

@@ -16,6 +16,7 @@ import pytest
 from diqkd_bounds import (
     CcqState,
     DensityMatrix,
+    MeasurementFamily,
     behavior_from,
     broadcast_ccq,
     cc_sq_multi,
@@ -91,8 +92,10 @@ def _honest():
 # (calls of linalg._eigh, matrices decomposed) on the honest nu = 0.1 device:
 # per setting, the purification and the Eve operators' check reuse the state's
 # and the blocks' spectra, and cmi_ccq decomposes only the AE, BE and E sums;
-# broadcast_ccq checks its direct sum alone, not each setting's operators
+# broadcast_ccq checks its direct sum alone, not each setting's operators;
+# a MeasurementFamily checks each party's POVM stack in one call
 DECOMPOSITIONS = {
+    "MeasurementFamily": (lambda s, f, o: MeasurementFamily(f.alice, f.bob), 2, 10),
     "cc_sq_multi": (lambda s, f, o: cc_sq_multi(s, f, UNIFORM_XY), 12, 54),
     "intrinsic_nonlocality_upper": (lambda s, f, o: intrinsic_nonlocality_upper(s, f), 12, 54),
     "cmi_ccq(broadcast_ccq)": (lambda s, f, o: cmi_ccq(broadcast_ccq(s, f, UNIFORM_XY)), 2, 9),

@@ -9,17 +9,22 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
   `float.hex`, once with Eve's map pools cleared (cold) and once again
   (warm), and the same for its ``refine=False`` value, the deterministic
   search alone;
+- the device layer value by value: the sha256 of the `behavior_from` table
+  of the honest device at 41 values of nu in [0, 1] and of
+  `separable_chsh2_strategy` at 11 values of q in [0, 1/2], and the
+  `float.hex` of every float of `dephasing_simulation` at 21 values of p
+  in [0, 1 - 1/sqrt(2)] for each kind;
 - ``er`` stdout on the random 2x3 state of the ``cold-cli`` workload, seeds
   1-10;
-- stdout, stderr and exit code of about fifty more CLI commands, each in its
-  own process: every curve, ``device``, ``localweight`` on the honest
-  behavior and on a fixed behavior of shape (2, 3, 3, 2) (`mixed_behavior`),
-  both ``simulate`` kinds at five values of p in both formats, and three
-  errors.
+- stdout, stderr and exit code of 56 more CLI commands, each in its own
+  process: every curve, ``device`` at five values of nu in both formats,
+  ``localweight`` on the honest behavior and on a fixed behavior of shape
+  (2, 3, 3, 2) (`mixed_behavior`), both ``simulate`` kinds at five values of
+  p in both formats, and three errors.
 
 The inputs come from ``bench/workloads.py`` of this tree and from
 `mixed_behavior`, so both trees see the same ones.  Temporary paths are normalized before the comparison.  Exit
-0 when every item (938 of them) is identical; otherwise the first
+0 when every item (1,040 of them) is identical; otherwise the first
 differing items are printed and the exit code is 1.  A comparison takes about ten seconds on two
 cores.
 """
@@ -27,7 +32,9 @@ cores.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -43,6 +50,7 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 INTRINSIC_SEEDS = range(22)
 ER_SEEDS = range(1, 11)
 SIMULATE_PS = ("0", "0.1", "0.2", "0.25", "0.29")
+DEVICE_NUS = ("0", "0.1", "0.29", "0.6", "1")
 SHOWN_DIFFERENCES = 5
 
 
@@ -76,7 +84,8 @@ def cli_commands(behavior: Path, state: Path, mixed: Path) -> list[list[str]]:
     commands.append(["curve", "hull", "--grid", "257"])
     commands += [["curve", "channel", "--kind", kind, "--grid", "33"]
                  for kind in ("dephasing", "depolarizing", "erasure")]
-    commands += [["device", "--nu", "0.1", "--format", fmt] for fmt in ("json", "csv")]
+    commands += [["device", "--nu", nu, "--format", fmt]
+                 for nu in DEVICE_NUS for fmt in ("json", "csv")]
     commands += [["localweight", "--file", str(path), "--format", fmt]
                  for path in (behavior, mixed) for fmt in ("json", "csv")]
     commands += [["simulate", "--kind", kind, "--p", p, "--format", fmt]
@@ -88,10 +97,28 @@ def cli_commands(behavior: Path, state: Path, mixed: Path) -> list[list[str]]:
     return commands
 
 
+def device_items(diqkd_bounds) -> dict[str, str]:
+    """The device layer's values, from the library in process."""
+    items = {}
+    devices = (("honest", diqkd_bounds.honest_chsh_device, np.linspace(0, 1, 41)),
+               ("separable", diqkd_bounds.separable_chsh2_strategy, np.linspace(0, 0.5, 11)))
+    for label, build, params in devices:
+        for param in map(float, params):
+            table = diqkd_bounds.behavior_from(*build(param)).table
+            items[f"behavior {label} {param!r}"] = hashlib.sha256(table.tobytes()).hexdigest()
+    for kind in ("depolarizing", "erasure"):
+        for p in map(float, np.linspace(0, 1 - 1 / np.sqrt(2), 21)):
+            report = diqkd_bounds.dephasing_simulation(kind, p)
+            items[f"simulation {kind} {p!r}"] = json.dumps(
+                [float.hex(v) for v in dataclasses.astuple(report) if isinstance(v, float)])
+    return items
+
+
 def dump(tree: Path) -> dict[str, str]:
     """Every compared item of the library in ``tree``, keyed by a label."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "bench")]
     import workloads
+    import diqkd_bounds
     from diqkd_bounds import cli, measures
 
     assert Path(measures.__file__).resolve().is_relative_to(tree.resolve()), measures.__file__
@@ -114,6 +141,7 @@ def dump(tree: Path) -> dict[str, str]:
                     items[f"{label} cold"] = float.hex(op.run())
                     items[f"{label} warm"] = float.hex(op.run())
         measures.intrinsic_info = intrinsic_info
+        items.update(device_items(diqkd_bounds))
         env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
 
         def run(argv: list[str]) -> str:
