@@ -61,7 +61,7 @@ from .fileio import (
     save_behavior,
     save_state,
 )
-from .linalg import Spectrum, hermitian_eig, kron, partial_trace
+from .linalg import Spectrum, partial_trace
 from .measures import (
     TWO_SQRT2,
     cmi_ccq,

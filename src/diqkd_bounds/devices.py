@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadSettingError, DimensionMismatchError
-from .linalg import Spectrum, kron, psd_spectrum
+from .linalg import Spectrum, psd_spectrum
 from .states import (
     DensityMatrix,
     PAULI_I,
@@ -90,7 +90,7 @@ def _povm_stack(povms, party: str) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementFamily:
     """Each party's POVMs as one stack indexed [input, outcome, i, j].
 
@@ -109,7 +109,7 @@ class MeasurementFamily:
             object.__setattr__(self, party, _povm_stack(getattr(self, party), party))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Behavior:
     """Conditional distribution table p[x][y][a][b] with no-signaling checks.
 
@@ -147,7 +147,7 @@ class Behavior:
         return np.clip(self.table[x, y], 0.0, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcqState:
     """Classical-classical-quantum state over (A, B, Eve).
 
@@ -156,7 +156,7 @@ class CcqState:
     """
 
     eve_ops: np.ndarray  # shape (nA, nB, dE, dE)
-    spectrum: Spectrum = field(init=False, repr=False, compare=False)  # the check's, per [a, b]
+    spectrum: Spectrum = field(init=False, repr=False)  # the check's, per [a, b]
 
     def __post_init__(self):
         ops = np.asarray(self.eve_ops, dtype=complex)
@@ -211,7 +211,7 @@ def behavior_from(state: DensityMatrix, m: MeasurementFamily) -> Behavior:
         )
     table = np.empty((len(m.alice), len(m.bob), m.alice.shape[1], m.bob.shape[1]))
     for x, y, a, b in np.ndindex(table.shape):
-        table[x, y, a, b] = float(np.trace(kron(m.alice[x, a], m.bob[y, b]) @ state.matrix).real)
+        table[x, y, a, b] = float(np.trace(np.kron(m.alice[x, a], m.bob[y, b]) @ state.matrix).real)
     return Behavior(table)
 
 
@@ -278,32 +278,37 @@ def assemble_ccq(state: DensityMatrix, pair_povm: tuple[Sequence[np.ndarray], Se
                  eve_map: EveMap | None = None) -> CcqState:
     """Measure ``state`` with one POVM pair and hand Eve the purifier.
 
-    Eve's operator for outcome (a, b) is the purifier-side conditional
+    The pair is checked as a one-setting `MeasurementFamily`.  Eve's operator
+    for outcome (a, b) is the purifier-side conditional
     tr_AB[(M_a (x) M_b (x) I_E) |psi><psi|] of the rank-minimal purification;
     ``eve_map`` (a channel or measurement on E) is applied afterwards.
     """
-    return CcqState(_eve_operators(state, pair_povm, eve_map))
+    family = MeasurementFamily((pair_povm[0],), (pair_povm[1],))
+    return CcqState(_mapped(_eve_operators(state, family)[0, 0], eve_map))
 
 
-def _eve_operators(state: DensityMatrix, pair_povm, eve_map: EveMap | None) -> np.ndarray:
-    """The ``eve_ops`` array of `assemble_ccq`, before `CcqState` checks it."""
+def _eve_operators(state: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
+    """Eve's purifier conditionals of every setting, indexed [x, y, a, b], unchecked."""
     if len(state.dims) != 2:
         raise DimensionMismatchError("assemble_ccq expects a bipartite state")
     da, db = state.dims
-    alice_povm, bob_povm = (np.array(povm, dtype=complex) for povm in pair_povm)
-    if alice_povm.shape[1:] != (da, da) or bob_povm.shape[1:] != (db, db):
+    if family.alice.shape[-1] != da or family.bob.shape[-1] != db:
         raise DimensionMismatchError("POVM pair incompatible with state dimensions")
     psi = purify(state)
     w = psi.amplitudes.reshape(da, db, psi.dims[-1])
-    # purifier-side conditional operators (w^dag (M_a (x) M_b) w)^T, indexed [a, b]
-    ops = np.einsum("ijs,aik,bjl,klr->abrs", w.conj(), alice_povm, bob_povm, w)
-    if eve_map is not None:
-        mapped = np.array([[eve_map(op) for op in row] for row in ops], dtype=complex)
-        traces = [np.einsum("abkk->ab", t).real for t in (ops, mapped)]
-        if np.max(np.abs(traces[1] - traces[0])) > 1e-9:
-            raise ValueError("eve_map does not preserve the trace")
-        ops = mapped
-    return ops
+    # (w^dag (A_a^x (x) B_b^y) w)^T
+    return np.einsum("ijs,xaik,ybjl,klr->xyabrs", w.conj(), family.alice, family.bob, w)
+
+
+def _mapped(ops: np.ndarray, eve_map: EveMap | None) -> np.ndarray:
+    """One setting's operators [a, b] through ``eve_map``, checked to keep each trace."""
+    if eve_map is None:
+        return ops
+    mapped = np.array([[eve_map(op) for op in row] for row in ops], dtype=complex)
+    traces = [np.einsum("abkk->ab", t).real for t in (ops, mapped)]
+    if np.max(np.abs(traces[1] - traces[0])) > 1e-9:
+        raise ValueError("eve_map does not preserve the trace")
+    return mapped
 
 
 def _input_distribution(family: MeasurementFamily, p_xy: np.ndarray) -> np.ndarray:
@@ -324,9 +329,10 @@ def _setting_ops(state: DensityMatrix, family: MeasurementFamily,
     ``p_xy`` given, settings of zero weight are skipped.
     """
     maps = eve_maps or {}
-    for x, y in np.ndindex(len(family.alice), len(family.bob)):
+    ops = _eve_operators(state, family)
+    for x, y in np.ndindex(ops.shape[:2]):
         if p_xy is None or p_xy[x, y] > 0.0:
-            yield x, y, _eve_operators(state, (family.alice[x], family.bob[y]), maps.get((x, y)))
+            yield x, y, _mapped(ops[x, y], maps.get((x, y)))
 
 
 def broadcast_ccq(state: DensityMatrix, family: MeasurementFamily, p_xy: np.ndarray,

@@ -38,20 +38,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(*factors) -> np.ndarray:
-    """Tensor (Kronecker) product of one or more matrices.
-
-    Entry ``(i1*rb + i2, j1*cb + j2)`` of ``kron(a, b)`` equals
-    ``a[i1, j1] * b[i2, j2]``.
-    """
-    if not factors:
-        raise ValueError("kron needs at least one factor")
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, as_matrix(f))
-    return out
-
-
 def _first(what: str, bad: np.ndarray) -> str:
     """``what`` and, for a stack, the index of its first matrix flagged in ``bad``."""
     index = tuple(np.argwhere(bad)[0].tolist())
@@ -86,22 +72,6 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def hermitian_eig(a) -> Spectrum:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If ``a`` is not a square matrix (`as_matrix`, `_hermitian_part`).
-    NotHermitianError
-        If the Hermiticity defect exceeds 1e-9 (Frobenius).
-    NoConvergenceError
-        If the underlying LAPACK iteration fails to converge.
-    """
-    w, v = _eigh(_hermitian_part(as_matrix(a)))
-    return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
-
-
 def psd_spectrum(a, parts=1, hermitian_tol: float = HERMITICITY_TOL,
                  what: str = "matrix") -> Spectrum:
     """Descending spectrum of one PSD matrix, or of each matrix in a stack.
@@ -109,9 +79,10 @@ def psd_spectrum(a, parts=1, hermitian_tol: float = HERMITICITY_TOL,
     The input is checked by `_hermitian_part` within ``hermitian_tol``.  Each
     matrix is a sum of ``parts`` PSD matrices (one count, or one per matrix):
     by Weyl's inequality its eigenvalues reach -``parts`` `PSD_TOL`, which is
-    read as 0, and anything lower raises ValueError.  Values and vectors are
-    those of `hermitian_eig` (``eigvalsh`` rounds differently in the last
-    bits).  Both arrays are read-only, so a validated object can keep them.
+    read as 0, and anything lower raises ValueError.  A stack gets, matrix by
+    matrix, the bits of one call per matrix (``eigvalsh`` rounds differently
+    in the last bits).  Both arrays are read-only, so a validated object can
+    keep them.
     """
     w, v = _eigh(_hermitian_part(a, hermitian_tol, what))
     w = w[..., ::-1]

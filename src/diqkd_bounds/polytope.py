@@ -152,7 +152,7 @@ def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> np.ndarray:
     return x[:n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalDecomposition:
     """Maximal-local-weight split of a behavior.
 

@@ -12,7 +12,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import Spectrum, as_matrix, kron, partial_trace, psd_spectrum
+from .linalg import Spectrum, as_matrix, partial_trace, psd_spectrum
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,14 +39,14 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix on a tensor-factored space."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     # the check's read-only psd_spectrum, for every later entropy and purification
-    spectrum: Spectrum = field(init=False, repr=False, compare=False)
+    spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -74,7 +74,7 @@ class DensityMatrix:
         return DensityMatrix(reduced, tuple(self.dims[k] for k in keep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """State vector on a tensor-factored space, unit norm within 1e-10."""
 
@@ -237,7 +237,7 @@ def apply_channel(ch: QubitChannel, rho: DensityMatrix) -> DensityMatrix:
     left = np.eye(int(np.prod(rest)))
     out = None
     for k in ch.kraus_operators():
-        big = kron(left, k)
+        big = np.kron(left, k)
         term = big @ rho.matrix @ big.conj().T
         out = term if out is None else out + term
     return DensityMatrix(out, (*rest, ch.output_dim))

@@ -20,6 +20,7 @@ from diqkd_bounds import (
     kraus_map,
     make_bell_diagonal,
     make_isotropic,
+    max_local_weight,
     observable_povm,
     partial_trace,
     povm_map,
@@ -291,6 +292,14 @@ REFUSALS = {
                        DimensionMismatchError, "assemble_ccq expects a bipartite state"),
     "ccq-eve-map": (lambda: assemble_ccq(make_isotropic(0.1), (Z_POVM, Z_POVM), lambda op: 2 * op),
                     ValueError, "eve_map does not preserve the trace"),
+    "ccq-incomplete": (lambda: assemble_ccq(make_isotropic(1.0), ((np.diag([0.7, 0.3]),
+                                                                   np.diag([0.5, 0.5])), Z_POVM)),
+                       ValueError, "alice input 0: POVM elements do not sum to identity"),
+    "ccq-not-psd": (lambda: assemble_ccq(make_isotropic(0.1), (Z_POVM, (np.diag([1.25, 0]),
+                                                                        np.diag([-0.25, 1])))),
+                    ValueError, r"bob: POVM element \(0, 1\) has eigenvalue -2\.500e-01"),
+    "ccq-dimension": (lambda: assemble_ccq(make_isotropic(0.1), (Z_POVM, (np.eye(3),))),
+                      DimensionMismatchError, "POVM pair incompatible with state dimensions"),
     "p-xy-shape": (lambda: broadcast_ccq(*honest_chsh_device(0.1), np.full((2, 3), 1 / 6)),
                    DimensionMismatchError, r"p_xy must have shape \(3, 2\)"),
 }
@@ -301,6 +310,25 @@ def test_device_layer_refusals(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{message}"):
         call()
+
+
+# one builder per validated type; two calls give two equal, separate objects
+VALIDATED = {
+    "DensityMatrix": lambda: make_isotropic(0.1),
+    "PureState": lambda: purify(make_isotropic(0.0)),
+    "MeasurementFamily": lambda: honest_chsh_device(0.1)[1],
+    "Behavior": lambda: behavior_from(*honest_chsh_device(0.1)),
+    "CcqState": lambda: assemble_ccq(make_isotropic(0.1), (Z_POVM, Z_POVM)),
+    "LocalDecomposition": lambda: max_local_weight(behavior_from(*honest_chsh_device(0.1))),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALIDATED))
+def test_validated_objects_compare_by_identity_and_hash(kind):
+    first, second = VALIDATED[kind](), VALIDATED[kind]()
+    assert type(first).__name__ == kind
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second, first}) == 2
 
 
 def test_measurement_family_is_one_read_only_stack_per_party():

@@ -4,106 +4,12 @@ import pytest
 from diqkd_bounds import (
     DimensionMismatchError,
     NotHermitianError,
-    hermitian_eig,
-    kron,
     partial_trace,
 )
 from diqkd_bounds.linalg import PSD_TOL, psd_spectrum
-from diqkd_bounds.states import KET_PHI_PLUS, PAULI_X, PAULI_Z, projector
+from diqkd_bounds.states import KET_PHI_PLUS, projector
 
 I2 = np.eye(2)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_diagonal_product():
-    assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
-
-
-def test_kron_flips_00_to_11():
-    ket00 = np.zeros(4)
-    ket00[0] = 1.0
-    ket11 = np.zeros(4)
-    ket11[3] = 1.0
-    assert np.allclose(kron(PAULI_X, PAULI_X) @ ket00, ket11)
-
-
-def test_kron_entry_formula():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    k = kron(a, b)
-    assert k.shape == (8, 6)
-    for i1 in range(2):
-        for j1 in range(3):
-            for i2 in range(4):
-                for j2 in range(2):
-                    got = k[i1 * 4 + i2, j1 * 2 + j2]
-                    assert abs(got - a[i1, j1] * b[i2, j2]) < 1e-15
-
-
-def test_kron_associativity_exact_on_exact_inputs():
-    # integer entries keep every float product exact, so equality is bitwise
-    rng = np.random.default_rng(7)
-    mats = [rng.integers(-8, 8, size=(2, 2)) + 1j * rng.integers(-8, 8, size=(2, 2))
-            for _ in range(3)]
-    left = kron(kron(mats[0], mats[1]), mats[2])
-    right = kron(mats[0], kron(mats[1], mats[2]))
-    assert np.array_equal(left, right)
-
-
-def test_kron_associativity_random():
-    rng = np.random.default_rng(8)
-    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
-    left = kron(kron(mats[0], mats[1]), mats[2])
-    right = kron(mats[0], kron(mats[1], mats[2]))
-    assert np.allclose(left, right, rtol=1e-15, atol=1e-15)
-
-
-def test_eig_sigma_z():
-    spec = hermitian_eig(PAULI_Z)
-    assert np.allclose(spec.eigenvalues, [1.0, -1.0])
-
-
-def test_eig_maximally_mixed():
-    spec = hermitian_eig(np.eye(4) / 4)
-    assert np.allclose(spec.eigenvalues, [0.25] * 4)
-
-
-def test_eig_sigma_x_eigenvectors():
-    spec = hermitian_eig(PAULI_X)
-    assert np.allclose(spec.eigenvalues, [1.0, -1.0])
-    plus = np.array([1, 1]) / np.sqrt(2)
-    minus = np.array([1, -1]) / np.sqrt(2)
-    # columns match up to a global phase
-    assert abs(abs(np.vdot(plus, spec.eigenvectors[:, 0])) - 1.0) < 1e-12
-    assert abs(abs(np.vdot(minus, spec.eigenvectors[:, 1])) - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize("dim", [2, 3, 5, 8, 12])
-def test_eig_reconstruction_random(dim):
-    rng = np.random.default_rng(dim)
-    for _ in range(5):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2
-        h *= 3.0 / max(np.linalg.norm(h), 1.0)  # keep norm below 10
-        spec = hermitian_eig(h)
-        v, w = spec.eigenvectors, spec.eigenvalues
-        assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) < 1e-10
-        assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) < 1e-10
-        assert np.all(np.diff(w) <= 1e-14)  # descending
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig_rejects_non_square():
-    with pytest.raises(DimensionMismatchError):
-        hermitian_eig(np.zeros((2, 3)))
 
 
 def _psd_stack(rng, count, dim):
@@ -112,7 +18,7 @@ def _psd_stack(rng, count, dim):
 
 
 def test_psd_spectrum_matches_hermitian_eig_bitwise():
-    # one batched call gives each matrix the spectrum hermitian_eig gives it alone
+    # one batched call gives each matrix the spectrum a call on it alone gives
     rng = np.random.default_rng(19)
     for dim in (1, 2, 3, 4, 8, 17):
         stack = _psd_stack(rng, 6, dim)
@@ -120,9 +26,8 @@ def test_psd_spectrum_matches_hermitian_eig_bitwise():
         w, v = psd_spectrum(stack)
         assert w.shape == (6, dim) and v.shape == (6, dim, dim)
         for m, row, vectors in zip(stack, w, v):
-            expected = hermitian_eig(m)
-            assert np.array_equal(row, np.where(expected.eigenvalues < 0.0, 0.0,
-                                                expected.eigenvalues))
+            expected = psd_spectrum(m)
+            assert np.array_equal(row, expected.eigenvalues)
             assert np.array_equal(vectors, expected.eigenvectors)
 
 
@@ -192,8 +97,8 @@ def test_partial_trace_product_state():
     g2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     sigma = g2 @ g2.conj().T
     sigma /= np.trace(sigma)
-    assert np.allclose(partial_trace(kron(rho, sigma), [3, 2], keep=[0]), rho)
-    assert np.allclose(partial_trace(kron(rho, sigma), [3, 2], keep=[1]), sigma)
+    assert np.allclose(partial_trace(np.kron(rho, sigma), [3, 2], keep=[0]), rho)
+    assert np.allclose(partial_trace(np.kron(rho, sigma), [3, 2], keep=[1]), sigma)
 
 
 def test_partial_trace_everything():

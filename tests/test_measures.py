@@ -26,7 +26,6 @@ from diqkd_bounds import (
     er_numeric,
     honest_chsh_device,
     intrinsic_info,
-    kron,
     make_bell_diagonal,
     make_isotropic,
     mutual_info,
@@ -107,7 +106,7 @@ def test_er_numeric_product_state_is_zero():
     rng = np.random.default_rng(43)
     a = random_density(rng, (2,))
     b = random_density(rng, (2,))
-    rho = DensityMatrix(kron(a.matrix, b.matrix), (2, 2))
+    rho = DensityMatrix(np.kron(a.matrix, b.matrix), (2, 2))
     assert er_numeric(rho, seed=0) < 1e-6
 
 
@@ -163,7 +162,7 @@ def cmi_oracle(ccq: CcqState) -> float:
         for b in range(n_b):
             ab = np.zeros((n_a * n_b, n_a * n_b))
             ab[a * n_b + b, a * n_b + b] = 1.0
-            full += kron(ab, ccq.eve_ops[a, b])
+            full += np.kron(ab, ccq.eve_ops[a, b])
     rho = DensityMatrix(full, tuple(dims))
 
     def s(keep):

@@ -17,6 +17,7 @@ from diqkd_bounds import (
     CcqState,
     DensityMatrix,
     MeasurementFamily,
+    assemble_ccq,
     behavior_from,
     broadcast_ccq,
     cc_sq_multi,
@@ -93,9 +94,11 @@ def _honest():
 # per setting, the purification and the Eve operators' check reuse the state's
 # and the blocks' spectra, and cmi_ccq decomposes only the AE, BE and E sums;
 # broadcast_ccq checks its direct sum alone, not each setting's operators;
-# a MeasurementFamily checks each party's POVM stack in one call
+# a MeasurementFamily checks each party's POVM stack in one call, and
+# assemble_ccq checks its pair as a one-setting family before the Eve operators
 DECOMPOSITIONS = {
     "MeasurementFamily": (lambda s, f, o: MeasurementFamily(f.alice, f.bob), 2, 10),
+    "assemble_ccq": (lambda s, f, o: assemble_ccq(s, (f.alice[0], f.bob[0])), 3, 8),
     "cc_sq_multi": (lambda s, f, o: cc_sq_multi(s, f, UNIFORM_XY), 12, 54),
     "intrinsic_nonlocality_upper": (lambda s, f, o: intrinsic_nonlocality_upper(s, f), 12, 54),
     "cmi_ccq(broadcast_ccq)": (lambda s, f, o: cmi_ccq(broadcast_ccq(s, f, UNIFORM_XY)), 2, 9),

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from diqkd_bounds import (
     apply_channel,
     binary_entropy,
     choi_state,
-    kron,
     make_bell_diagonal,
     make_isotropic,
     partial_trace,
@@ -60,8 +60,8 @@ def test_bell_diagonal_pure_and_balanced():
 
 def test_bell_diagonal_correlators():
     rho = make_bell_diagonal(0.9, 0.1).matrix
-    zz = float(np.trace(kron(PAULI_Z, PAULI_Z) @ rho).real)
-    xx = float(np.trace(kron(PAULI_X, PAULI_X) @ rho).real)
+    zz = float(np.trace(np.kron(PAULI_Z, PAULI_Z) @ rho).real)
+    xx = float(np.trace(np.kron(PAULI_X, PAULI_X) @ rho).real)
     assert abs(zz - 1.0) < 1e-12
     assert abs(xx - 0.8) < 1e-12
 
@@ -87,7 +87,7 @@ def test_entropy_additive_on_products():
     for _ in range(10):
         a = random_density(rng, (2,))
         b = random_density(rng, (3,))
-        prod = DensityMatrix(kron(a.matrix, b.matrix), (2, 3))
+        prod = DensityMatrix(np.kron(a.matrix, b.matrix), (2, 3))
         assert abs(von_neumann_entropy(prod)
                    - von_neumann_entropy(a) - von_neumann_entropy(b)) < 1e-9
 
@@ -211,7 +211,7 @@ def test_apply_channel_depolarizing_fully():
     rng = np.random.default_rng(37)
     rho = random_density(rng, (2, 2))
     out = apply_channel(QubitChannel("depolarizing", 1.0), rho)
-    expected = kron(rho.marginal([0]).matrix, np.eye(2) / 2)
+    expected = np.kron(rho.marginal([0]).matrix, np.eye(2) / 2)
     assert np.allclose(out.matrix, expected)
 
 
@@ -220,7 +220,7 @@ def test_apply_channel_erasure_fully():
     out = apply_channel(QubitChannel("erasure", 1.0), phi)
     flag = np.zeros((3, 3))
     flag[2, 2] = 1.0
-    assert np.allclose(out.matrix, kron(np.eye(2) / 2, flag))
+    assert np.allclose(out.matrix, np.kron(np.eye(2) / 2, flag))
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "erasure"])
@@ -237,12 +237,13 @@ def test_apply_channel_preserves_state_invariants(kind):
 def test_apply_channel_acts_on_the_last_of_three_factors(kind):
     rng = np.random.default_rng(43)
     factors = [random_density(rng, (d,)) for d in (2, 3, 2)]
-    rho = DensityMatrix(kron(*(f.matrix for f in factors)), (2, 3, 2))
+    rho = DensityMatrix(functools.reduce(np.kron, (f.matrix for f in factors)), (2, 3, 2))
     ch = QubitChannel(kind, 0.3)
     out = apply_channel(ch, rho)
     last = sum(k @ factors[2].matrix @ k.conj().T for k in ch.kraus_operators())
     assert out.dims == (2, 3, ch.output_dim)
-    assert np.max(np.abs(out.matrix - kron(factors[0].matrix, factors[1].matrix, last))) < 1e-14
+    expected = functools.reduce(np.kron, (factors[0].matrix, factors[1].matrix, last))
+    assert np.max(np.abs(out.matrix - expected)) < 1e-14
 
 
 def test_apply_channel_needs_qubit_factor():

@@ -14,6 +14,11 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
   `separable_chsh2_strategy` at 11 values of q in [0, 1/2], and the
   `float.hex` of every float of `dephasing_simulation` at 21 values of p
   in [0, 1 - 1/sqrt(2)] for each kind;
+- the ccq layer value by value: on the honest device at 11 values of nu in
+  [0, 1], with Eve's purifier unmapped, measured (`povm_map`) or through a
+  channel (`kraus_map`), the `float.hex` of `cmi_ccq` of `assemble_ccq` at
+  the key setting, `cc_sq_multi`, `intrinsic_nonlocality_upper` and
+  `cmi_ccq` of `broadcast_ccq`, with uniform p(x, y);
 - ``er`` stdout on the random 2x3 state of the ``cold-cli`` workload, seeds
   1-10;
 - stdout, stderr and exit code of 56 more CLI commands, each in its own
@@ -23,10 +28,10 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
   p in both formats, and three errors.
 
 The inputs come from ``bench/workloads.py`` of this tree and from
-`mixed_behavior`, so both trees see the same ones.  Temporary paths are normalized before the comparison.  Exit
-0 when every item (1,040 of them) is identical; otherwise the first
-differing items are printed and the exit code is 1.  A comparison takes about ten seconds on two
-cores.
+`mixed_behavior`, so both trees see the same ones.  Temporary paths are
+normalized before the comparison.  Exit 0 when every item (1,172 of them)
+is identical; otherwise the first differing items are printed and the exit
+code is 1.  A comparison takes about ten seconds on two cores.
 """
 
 from __future__ import annotations
@@ -114,6 +119,39 @@ def device_items(diqkd_bounds) -> dict[str, str]:
     return items
 
 
+def eve_maps(diqkd_bounds, nu: float) -> dict:
+    """No map, a measurement and a seeded channel on the purifier of the honest device."""
+    d = 1 if nu == 0.0 else 4  # rank of the isotropic state
+    rng = np.random.default_rng(40 + d)
+    g = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+    isometry = np.linalg.qr(g)[0]  # two Kraus operators stacked
+    return {"none": None,
+            "povm": diqkd_bounds.povm_map(list(np.eye(d)[:, :, None] * np.eye(d)[:, None, :])),
+            "kraus": diqkd_bounds.kraus_map([isometry[:d], isometry[d:]])}
+
+
+def ccq_items(diqkd_bounds) -> dict[str, str]:
+    """The ccq layer's values on the honest device, from the library in process."""
+    items = {}
+    uniform = np.full((3, 2), 1 / 6)
+    for nu in map(float, np.linspace(0, 1, 11)):
+        state, family = diqkd_bounds.honest_chsh_device(nu)
+        key = (family.alice[0], family.bob[0])
+        for kind, eve in eve_maps(diqkd_bounds, nu).items():
+            maps = None if eve is None else dict.fromkeys(np.ndindex(3, 2), eve)
+            values = {
+                "assemble_ccq": diqkd_bounds.cmi_ccq(diqkd_bounds.assemble_ccq(state, key, eve)),
+                "cc_sq_multi": diqkd_bounds.cc_sq_multi(state, family, uniform, maps),
+                "intrinsic_nonlocality_upper":
+                    diqkd_bounds.intrinsic_nonlocality_upper(state, family, maps),
+                "broadcast_ccq":
+                    diqkd_bounds.cmi_ccq(diqkd_bounds.broadcast_ccq(state, family, uniform, maps)),
+            }
+            for name, value in values.items():
+                items[f"ccq honest {nu!r} {kind} {name}"] = float.hex(value)
+    return items
+
+
 def dump(tree: Path) -> dict[str, str]:
     """Every compared item of the library in ``tree``, keyed by a label."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "bench")]
@@ -142,6 +180,7 @@ def dump(tree: Path) -> dict[str, str]:
                     items[f"{label} warm"] = float.hex(op.run())
         measures.intrinsic_info = intrinsic_info
         items.update(device_items(diqkd_bounds))
+        items.update(ccq_items(diqkd_bounds))
         env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
 
         def run(argv: list[str]) -> str:
