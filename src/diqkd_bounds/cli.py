@@ -18,6 +18,8 @@ import json
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import fileio
 from .bounds import (
     CURVES,
@@ -197,12 +199,8 @@ def _run_device(args) -> str:
     if args.format == "json":
         return json.dumps(fileio.behavior_to_dict(behavior), indent=1) + "\n"
     lines = ["x,y,a,b,p"]
-    x_count, y_count, a_count, b_count = behavior.shape
-    for x in range(x_count):
-        for y in range(y_count):
-            for a in range(a_count):
-                for b in range(b_count):
-                    lines.append(f"{x},{y},{a},{b},{_fmt(behavior.table[x, y, a, b])}")
+    for x, y, a, b in np.ndindex(behavior.shape):
+        lines.append(f"{x},{y},{a},{b},{_fmt(behavior.table[x, y, a, b])}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,7 @@ LN2 = math.log(2.0)
 # ~4,100 of 65,536 for a sampled |E| = 16 one); only a shortlist is re-scored
 # exactly with `_det_channel_values`.  `_map_pool` builds each pool
 # once per (|E|, seed, cap) in a process and keeps the last 8, the partition
-# pools shared by every seed; a sampled |E| = 16 entry holds 2.4 MB.
+# pools shared by every seed; a sampled |E| = 16 entry holds 1.6 MB.
 DET_CHANNEL_CAP = 50_000
 # L-BFGS-B iterations per intrinsic-information restart.  A run whose channel
 # heads for the simplex boundary crawls there (rows = theta**2 flattens the
@@ -266,28 +266,24 @@ def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
     Both steps are exact: a zero-weight symbol never occurs, and symbols with
     equal conditional distributions p(a,b|e) are interconvertible by
     stochastic maps in either direction, so the intrinsic information is
-    unchanged.
+    unchanged.  Each symbol joins the first group whose first member is
+    within 1e-12 of it in every cell, and AlphabetTooLargeError is raised
+    when a group past `MAX_EVE_ALPHABET` would open.
     """
     p_e = p.sum(axis=(0, 1))
     keep = np.where(p_e > 1e-15)[0]
     p = p[:, :, keep]
     p_e = p_e[keep]
     conditionals = (p / p_e[None, None, :]).reshape(-1, len(keep))
-    # close[e, e'] when max_ab |p(a,b|e) - p(a,b|e')| < 1e-12, one block of
-    # symbols at a time so that no difference array exceeds ~2M elements
-    block = max(1, 2_000_000 // (conditionals.size + 1))
-    close = np.concatenate([
-        np.abs(conditionals[:, start:start + block, None] - conditionals[:, None, :]).max(axis=0)
-        < 1e-12 for start in range(0, len(keep), block)])
-    # each symbol joins the first group whose first member is close to it
-    groups: list[list[int]] = []
-    for e in range(len(keep)):
-        for g in groups:
-            if close[e, g[0]]:
-                g.append(e)
-                break
-        else:
-            groups.append([e])
+    groups, ungrouped = [], np.arange(len(keep))
+    while ungrouped.size:  # its first symbol opens the next group
+        if len(groups) == MAX_EVE_ALPHABET:
+            raise AlphabetTooLargeError(
+                f"more than {MAX_EVE_ALPHABET} Eve symbols after merging identical conditionals")
+        gaps = conditionals[:, ungrouped] - conditionals[:, ungrouped[:1]]
+        close = np.abs(gaps).max(axis=0) < 1e-12
+        groups.append(ungrouped[close])
+        ungrouped = ungrouped[~close]
     if len(groups) == p.shape[2]:
         return p
     return np.stack([p[:, :, g].sum(axis=2) for g in groups], axis=2)
@@ -362,25 +358,29 @@ def _partitions(n: int) -> np.ndarray:
     return rows
 
 
-def _det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """I(A:B|F), clipped at 0, after each deterministic map in ``maps`` (one row per map).
+def _one_hot(masks: np.ndarray) -> np.ndarray:
+    """Each map's channel from its block ``masks``: [i, e, f] = 1 when map i sends e to f."""
+    bits = np.arange(masks.shape[1])[:, None]
+    return ((masks[:, None, :] >> bits) & 1).astype(float, order="C")
 
-    Each block of maps becomes one-hot channels, q = p @ one_hot is one
+
+def _det_channel_values(p: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """I(A:B|F), clipped at 0, after each deterministic map whose `_block_masks` are ``masks``.
+
+    Each block of maps becomes `_one_hot` channels, q = p @ one_hot is one
     batched matmul, and every entropy is summed over all cells with `_plogp`.
     """
     n_a, n_b, n_e = p.shape
     p_flat = p.reshape(-1, n_e)
-    outputs = np.arange(n_e)
-    values = np.empty(len(maps))
+    values = np.empty(len(masks))
 
     def ent(t):  # entropy of each joint in a block
         return -_plogp(t).reshape(len(t), -1).sum(axis=1)
 
     chunk = max(1, 2_000_000 // (p.size * n_e + 1))  # maps of ~2M one-hot elements
-    for start in range(0, len(maps), chunk):
-        block = maps[start:start + chunk]
-        one_hot = (block[:, :, None] == outputs).astype(float)
-        q = np.matmul(p_flat, one_hot).reshape(len(block), n_a, n_b, n_e)
+    for start in range(0, len(masks), chunk):
+        block = masks[start:start + chunk]
+        q = np.matmul(p_flat, _one_hot(block)).reshape(len(block), n_a, n_b, n_e)
         h_abe = ent(q)
         h_ae = ent(q.sum(axis=2))
         h_be = ent(q.sum(axis=1))
@@ -447,29 +447,27 @@ def _screen_values(p: np.ndarray, masks: np.ndarray, subsets: np.ndarray) -> np.
     return np.maximum(values, 0.0, out=values)
 
 
-def _distinct_splits(maps: np.ndarray, order: np.ndarray) -> list[int]:
+def _distinct_splits(masks: np.ndarray, order: np.ndarray) -> list[int]:
     """The first `_INTRINSIC_RESTARTS` maps in ``order`` that split Eve's alphabet differently.
 
     Relabeling Eve's output symbols leaves a map's value unchanged, so maps
-    are told apart by their split alone.
+    are told apart by their split alone: the set of their block masks.
     """
     found, seen = [], set()
     for i in order:
         if len(found) == _INTRINSIC_RESTARTS:
             break
-        labels: dict[int, int] = {}
-        split = tuple(labels.setdefault(f, len(labels)) for f in maps[i])
+        split = frozenset(masks[i].tolist())
         if split not in seen:
             seen.add(split)
             found.append(int(i))
     return found
 
 
-def _shortlist(p: np.ndarray, maps: np.ndarray, masks: np.ndarray,
-               subsets: np.ndarray) -> np.ndarray:
+def _shortlist(p: np.ndarray, masks: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Indices, ascending, of every map that can be the best or a refinement start.
 
-    The screen ranks ``maps`` through their ``masks``; T is the screened
+    The screen ranks the maps through their ``masks``; T is the screened
     value at the 4th distinct split (the largest one when there are fewer),
     the least v with 4 splits screened at most v, whatever the order of
     ties.  Only a prefix of the ranking is sorted: the `_SCREEN_PREFIX` least
@@ -486,7 +484,7 @@ def _shortlist(p: np.ndarray, maps: np.ndarray, masks: np.ndarray,
     while True:
         size = min(size, len(screen))
         prefix = np.argpartition(screen, size - 1)[:size]
-        firsts = _distinct_splits(maps, prefix[np.argsort(screen[prefix])])
+        firsts = _distinct_splits(masks, prefix[np.argsort(screen[prefix])])
         if len(firsts) == _INTRINSIC_RESTARTS or size == len(screen):
             break
         size *= 4
@@ -494,8 +492,8 @@ def _shortlist(p: np.ndarray, maps: np.ndarray, masks: np.ndarray,
     return np.flatnonzero(screen <= cut + _SCREEN_MARGIN)
 
 
-def _searched_arrays(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(maps, masks, subsets), read-only: ``maps``, their `_block_masks`, and the masks in use.
+def _searched_arrays(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, subsets), read-only: the `_block_masks` of ``maps`` and the masks in use.
 
     ``subsets`` holds each distinct mask once, ascending (uint16), read off
     a table of the 2^|E| subsets that marks the masks column by column.
@@ -504,30 +502,30 @@ def _searched_arrays(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     present = np.zeros(1 << maps.shape[1], dtype=bool)
     for column in masks.T:
         present[column] = True
-    arrays = maps, masks, np.flatnonzero(present).astype(np.uint16)
+    arrays = masks, np.flatnonzero(present).astype(np.uint16)
     for array in arrays:
         array.flags.writeable = False
     return arrays
 
 
 @functools.cache
-def _partition_pool(n_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _partition_pool(n_e: int) -> tuple[np.ndarray, np.ndarray]:
     """`_searched_arrays` of every partition of Eve's alphabet: one copy for every seed."""
-    return _searched_arrays(_partitions(n_e).astype(np.uint8))
+    return _searched_arrays(_partitions(n_e))
 
 
 @functools.lru_cache(maxsize=8)
 def _map_pool(n_e: int, seed: int, cap: int) -> tuple[np.ndarray, ...]:
-    """(maps, masks, subsets, jitter): what `intrinsic_info` searches at |E| = ``n_e``, read-only.
+    """(masks, subsets, jitter): what `intrinsic_info` searches at |E| = ``n_e``, read-only.
 
-    ``maps`` holds one deterministic map per row, maps[i, e] the output of
-    symbol e (uint8): every partition of Eve's alphabet when Bell(|E|) <=
-    ``cap``, the arrays of `_partition_pool` that every seed shares;
-    otherwise ``cap`` maps drawn from ``default_rng(seed)``, the first
-    replaced by the identity, and then the |E| constant maps.  ``masks`` is
-    `_block_masks(maps)` and ``subsets`` the distinct masks, ascending: the
-    only subsets whose terms the screen reads (4,089 of 65,536 for a sampled
-    |E| = 16 pool of seed 0).  ``jitter``, the perturbation of the
+    ``masks`` holds the `_block_masks` of one deterministic map per row, the
+    only form in which a map is kept: every partition of Eve's alphabet when
+    Bell(|E|) <= ``cap``, the arrays of `_partition_pool` that every seed
+    shares; otherwise ``cap`` maps drawn from ``default_rng(seed)``, the
+    first replaced by the identity, and then the |E| constant maps (1.6 MB
+    in all at |E| = 16).  ``subsets`` holds the distinct masks, ascending:
+    the only subsets whose terms the screen reads (4,089 of 65,536 for a
+    sampled |E| = 16 pool of seed 0).  ``jitter``, the perturbation of the
     refinement starts, is the next draw of the same generator, so a cached
     pool starts refinement from the bits a fresh draw would.  ``cap`` is
     `DET_CHANNEL_CAP` as the caller reads it.
@@ -555,10 +553,10 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     so every one of the Bell(|E|) partitions is tried when they fit under
     `DET_CHANNEL_CAP` (through |E| = 9); otherwise `DET_CHANNEL_CAP` seeded
     random maps plus the identity and the |E| constant maps, so the value
-    never exceeds I(A:B).  The pool, each map's block masks and the
-    distinct masks among them do not depend on the joint: `_map_pool`
+    never exceeds I(A:B).  The pool's block masks (a map's only stored form)
+    and the distinct masks among them do not depend on the joint: `_map_pool`
     builds them once per (|E|, seed, cap) in a process and keeps the last 8
-    (2.4 MB for a sampled |E| = 16 pool; the partition pools are shared by
+    (1.6 MB for a sampled |E| = 16 pool; the partition pools are shared by
     every seed), so a call pays for the joint's term of I(A:B|F) on each
     subset the pool reads (~4,100 of 65,536 at a sampled |E| = 16) and the
     screen of the pool through them, one output column at a time.  The maps
@@ -573,8 +571,9 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
-    conditional distributions.  A ``seed`` that is not an integer raises
-    TypeError, and a negative one ValueError, on every joint.
+    conditional distributions, which stops at the 17th group.  A ``seed``
+    that is not an integer raises TypeError, and a negative one ValueError,
+    on every joint.
     """
     try:
         seed = operator.index(seed)
@@ -584,26 +583,23 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
         raise ValueError(f"seed must be non-negative, not {seed}")
     p = _reduce_alphabet(_distribution(p_abe, "abe"))
     n_e = p.shape[2]
-    if n_e > MAX_EVE_ALPHABET:
-        raise AlphabetTooLargeError(f"{n_e} Eve symbols exceed the cap {MAX_EVE_ALPHABET}")
     # the identity map gives the unprocessed I(A:B|E)
-    best = float(_det_channel_values(p, np.arange(n_e)[None])[0])
+    best = float(_det_channel_values(p, (1 << np.arange(n_e))[None])[0])
     if n_e == 1 or best == 0.0:
         return best
 
-    maps, masks, subsets, jitter = _map_pool(n_e, seed, DET_CHANNEL_CAP)
-    maps = maps[_shortlist(p, maps, masks, subsets)]
-    det_values = _det_channel_values(p, maps)
+    masks, subsets, jitter = _map_pool(n_e, seed, DET_CHANNEL_CAP)
+    masks = masks[_shortlist(p, masks, subsets)]
+    det_values = _det_channel_values(p, masks)
     best = min(best, float(det_values.min()))
     if not refine or best == 0.0:
         return best
 
     # start from the best maps that split Eve's alphabet differently
     # (cycled when there are fewer), all descending in one lockstep block
-    firsts = _distinct_splits(maps, np.argsort(det_values, kind="stable"))
-    starts = maps[np.resize(firsts, _INTRINSIC_RESTARTS)]
-    thetas = np.eye(n_e)[starts] + jitter
-    refined = minimize(_IntrinsicObjective(p).value_and_grad, thetas.reshape(len(starts), -1),
+    firsts = _distinct_splits(masks, np.argsort(det_values, kind="stable"))
+    thetas = _one_hot(masks[np.resize(firsts, _INTRINSIC_RESTARTS)]) + jitter
+    refined = minimize(_IntrinsicObjective(p).value_and_grad, thetas.reshape(len(thetas), -1),
                        method="L-BFGS-B", maxiter=INTRINSIC_REFINE_ITERS)
     return max(min(best, refined.least), 0.0)
 

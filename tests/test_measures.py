@@ -324,6 +324,31 @@ def test_intrinsic_alphabet_cap_after_reduction():
         intrinsic_info(big, seed=0)
 
 
+@pytest.mark.parametrize("generic", [False, True], ids=["four conditionals", "generic"])
+def test_alphabet_reduction_memory_peak(generic):
+    # 4,000 symbols: each is compared with the first member of at most 17
+    # groups, never with every other symbol
+    n_e = 4000
+    if generic:
+        p = np.random.default_rng(151).dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
+    else:  # four distinct conditionals, as in test_intrinsic_alphabet_cap_after_reduction
+        p = np.zeros((2, 2, n_e))
+        for e in range(n_e):
+            p[e % 2, (e // 2) % 2, e] = 1.0 / n_e
+    tracemalloc.start()
+    try:
+        if generic:
+            with pytest.raises(AlphabetTooLargeError, match="^more than 16 Eve symbols after "
+                                                            "merging identical conditionals$"):
+                intrinsic_info(p, refine=False)
+        else:
+            assert intrinsic_info(p, refine=False) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 def loop_reduce_alphabet(p: np.ndarray) -> np.ndarray:
     """`measures._reduce_alphabet` comparing one pair of conditionals at a time."""
     p_e = p.sum(axis=(0, 1))
@@ -469,7 +494,7 @@ def test_intrinsic_partitions_never_weaker_than_sampled_maps(monkeypatch):
     assert exhaustive <= intrinsic_info(p, refine=False)
     # the cap is read at each call: the second search is the sampled pool,
     # 500 maps and the 7 constant ones, not the cached exhaustive one
-    assert [maps.shape for maps, *_ in searched] == [(877, 7), (507, 7)]
+    assert [masks.shape for masks, *_ in searched] == [(877, 7), (507, 7)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -494,14 +519,19 @@ def test_det_channel_values_match_loop_cmi():
     rng = np.random.default_rng(97)
     p = rng.dirichlet(np.ones(64)).reshape(2, 2, 16)
     maps = rng.integers(0, 16, size=(12, 16))
-    for g, value in zip(maps, measures._det_channel_values(p, maps)):
+    for g, value in zip(maps, det_channel_values(p, maps)):
         assert abs(value - max(loop_cmi(apply_map(p, g)), 0.0)) < 1e-14
 
 
 def screen_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """`_screen_values` of ``maps`` through their masks and the distinct masks among them."""
-    _, masks, subsets = measures._searched_arrays(maps.copy())
+    masks, subsets = measures._searched_arrays(maps)
     return measures._screen_values(p, masks, subsets)
+
+
+def det_channel_values(p: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """`_det_channel_values` of ``maps`` through their block masks."""
+    return measures._det_channel_values(p, measures._block_masks(maps))
 
 
 def test_screen_matches_det_channel_values_on_every_partition():
@@ -509,7 +539,7 @@ def test_screen_matches_det_channel_values_on_every_partition():
     for n_e in range(2, 10):
         p = rng.dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
         maps = measures._partitions(n_e)
-        gap = np.abs(screen_values(p, maps) - measures._det_channel_values(p, maps))
+        gap = np.abs(screen_values(p, maps) - det_channel_values(p, maps))
         assert gap.max() <= 1e-13, n_e
 
 
@@ -522,7 +552,7 @@ def test_screen_matches_det_channel_values_on_sampled_maps():
         np.arange(16)[None],  # the identity
         np.repeat(np.arange(16)[:, None], 16, axis=1),  # the constant maps
     ])
-    gap = np.abs(screen_values(p, maps) - measures._det_channel_values(p, maps))
+    gap = np.abs(screen_values(p, maps) - det_channel_values(p, maps))
     assert gap.max() <= 1e-13
 
 
@@ -532,14 +562,21 @@ def test_screen_matches_det_channel_values_with_a_zero_weight_block():
     p /= p.sum()
     maps = np.array([[0, 0, 1, 1, 2, 2], [0, 1, 2, 2, 3, 4], [0, 1, 2, 3, 4, 5],
                      [5, 5, 0, 0, 5, 5], [0, 0, 0, 0, 0, 0]])
-    gap = np.abs(screen_values(p, maps) - measures._det_channel_values(p, maps))
+    gap = np.abs(screen_values(p, maps) - det_channel_values(p, maps))
     assert gap.max() <= 1e-13
     assert measures._subset_terms(p, np.array([0b1100], dtype=np.uint16))[0] == 0.0
 
 
+def sampled_maps(n_e: int, rng: np.random.Generator) -> np.ndarray:
+    """The maps of a sampled pool: the identity, the rest of ``rng``'s draw, the constant maps."""
+    drawn = rng.integers(0, n_e, size=(measures.DET_CHANNEL_CAP, n_e))
+    drawn[0] = np.arange(n_e)
+    return np.concatenate([drawn, np.repeat(np.arange(n_e)[:, None], n_e, axis=1)])
+
+
 def test_block_masks_are_the_preimages_of_each_output():
     pools = [measures._partitions(n_e).astype(np.uint8) for n_e in range(2, 10)]
-    pools.append(measures._map_pool(16, 5, measures.DET_CHANNEL_CAP)[0])  # sampled
+    pools.append(sampled_maps(16, np.random.default_rng(5)).astype(np.uint8))
     for maps in pools:
         n_e = maps.shape[1]
         masks = measures._block_masks(maps)
@@ -552,17 +589,13 @@ def test_block_masks_are_the_preimages_of_each_output():
 @pytest.mark.parametrize("n_e", [7, 16])
 def test_map_pool_is_the_searched_pool(n_e):
     pool = measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP)
-    maps, masks, subsets, jitter = pool
+    masks, subsets, jitter = pool
     rng = np.random.default_rng(5)
     if n_e == 7:  # exhaustive: every partition, and the seed reaches the jitter alone
-        assert np.array_equal(maps, measures._partitions(7))
+        maps = measures._partitions(7)
     else:  # sampled: the identity first, the rest of the draw, then the constant maps
-        cap = measures.DET_CHANNEL_CAP
-        drawn = rng.integers(0, n_e, size=(cap, n_e))
-        assert np.array_equal(maps[0], np.arange(n_e))
-        assert np.array_equal(maps[1:cap], drawn[1:])
-        assert np.array_equal(maps[cap:], np.repeat(np.arange(n_e)[:, None], n_e, axis=1))
-    assert maps.dtype == np.uint8
+        maps = sampled_maps(n_e, rng)
+    assert masks.dtype == np.uint16
     assert np.array_equal(masks, measures._block_masks(maps))
     assert jitter.tobytes() == (0.15 * rng.standard_normal((4, n_e, n_e))).tobytes()
     assert measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP) is pool
@@ -570,7 +603,7 @@ def test_map_pool_is_the_searched_pool(n_e):
 
 def test_map_pool_subsets_are_the_distinct_masks():
     for n_e in [*range(2, 10), 16]:  # every partition pool and a sampled one
-        maps, masks, subsets, _ = measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP)
+        masks, subsets, _ = measures._map_pool(n_e, 5, measures.DET_CHANNEL_CAP)
         assert subsets.dtype == np.uint16 and np.array_equal(subsets, np.unique(masks)), n_e
         # stored by column: each output's masks are contiguous for the screen's gather
         assert masks.flags.f_contiguous and masks[:, -1].flags.c_contiguous, n_e
@@ -580,8 +613,8 @@ def test_partition_pools_are_shared_by_every_seed():
     for n_e in (3, 9):
         first, second = (measures._map_pool(n_e, seed, measures.DET_CHANNEL_CAP)
                          for seed in (0, 1))
-        assert all(a is b for a, b in zip(first[:3], second[:3])), n_e  # maps, masks, subsets
-        assert first[3].tobytes() != second[3].tobytes(), n_e  # the jitter is the seed's own
+        assert all(a is b for a, b in zip(first[:2], second[:2])), n_e  # masks, subsets
+        assert first[2].tobytes() != second[2].tobytes(), n_e  # the jitter is the seed's own
     p = pin_joint("dirichlet", 9)
     assert intrinsic_info(p, seed=0, refine=False) == intrinsic_info(p, seed=1, refine=False)
 
@@ -669,6 +702,12 @@ def split_of(g) -> tuple:
     return tuple(relabel.setdefault(int(f), len(relabel)) for f in g)
 
 
+def maps_of(masks: np.ndarray) -> np.ndarray:
+    """g(e) of each map, the output whose block mask holds bit e."""
+    n_e = masks.shape[1]
+    return np.argmax((masks[:, None, :] >> np.arange(n_e)[:, None]) & 1, axis=2)
+
+
 def stable_walk_prefix(maps: np.ndarray, values: np.ndarray, splits: int = 4) -> np.ndarray:
     """Indices the stable sort of ``values`` visits up to its ``splits``-th distinct split."""
     order = np.argsort(values, kind="stable")
@@ -693,17 +732,17 @@ def symmetric_joint() -> np.ndarray:
 def test_shortlist_holds_the_walked_prefix_and_the_argmin(p):
     # the pool that intrinsic_info(p, seed=|E|) searches, the identity row included
     n_e = p.shape[2]
-    maps, masks, subsets, _ = measures._map_pool(n_e, n_e, measures.DET_CHANNEL_CAP)
-    exact = measures._det_channel_values(p, maps)
-    kept = set(measures._shortlist(p, maps, masks, subsets).tolist())
-    assert set(stable_walk_prefix(maps, exact).tolist()) <= kept
+    masks, subsets, _ = measures._map_pool(n_e, n_e, measures.DET_CHANNEL_CAP)
+    exact = measures._det_channel_values(p, masks)
+    kept = set(measures._shortlist(p, masks, subsets).tolist())
+    assert set(stable_walk_prefix(maps_of(masks), exact).tolist()) <= kept
     assert int(np.argmin(exact)) in kept
 
 
-def full_sort_shortlist(p, maps, masks, subsets) -> np.ndarray:
+def full_sort_shortlist(p, masks, subsets) -> np.ndarray:
     """`_shortlist` with the whole screen sorted."""
     screen = measures._screen_values(p, masks, subsets)
-    firsts = measures._distinct_splits(maps, np.argsort(screen))
+    firsts = measures._distinct_splits(masks, np.argsort(screen))
     cut = screen[firsts[-1]] if len(firsts) == 4 else screen.max()
     return np.flatnonzero(screen <= cut + measures._SCREEN_MARGIN)
 
@@ -716,21 +755,21 @@ def test_shortlist_prefix_finds_the_full_sort_cut(margin, monkeypatch):
     rng = np.random.default_rng(149)
     p = rng.dirichlet(np.ones(24)).reshape(2, 2, 6)
     partitions = measures._partitions(6)
-    best = partitions[np.argmin(measures._det_channel_values(p, partitions))]
+    best = partitions[np.argmin(det_channel_values(p, partitions))]
     # 100 relabelings of the best split, each through its own masks, screen
     # least: the first prefix of 64 holds one split and must widen
     relabeled = np.array([rng.permutation(6)[best] for _ in range(100)])
     widened = np.concatenate([relabeled, partitions])
-    _, masks, subsets = measures._searched_arrays(widened.copy())
+    masks, subsets = measures._searched_arrays(widened)
     first = np.argsort(measures._screen_values(p, masks, subsets))[:measures._SCREEN_PREFIX]
     assert {split_of(widened[i]) for i in first} == {split_of(best)}
     cases = [(p, widened), (symmetric_joint(), partitions)]  # the second with many exact ties
     # pools of 2, 5 and 15 maps, shorter than the prefix; the first has 2 splits only
     cases += [(pin_joint("dirichlet", n), measures._partitions(n)) for n in (2, 3, 4)]
     for q, maps in cases:
-        _, masks, subsets = measures._searched_arrays(maps.copy())
-        kept = measures._shortlist(q, maps, masks, subsets)
-        assert np.array_equal(kept, full_sort_shortlist(q, maps, masks, subsets))
+        masks, subsets = measures._searched_arrays(maps)
+        kept = measures._shortlist(q, masks, subsets)
+        assert np.array_equal(kept, full_sort_shortlist(q, masks, subsets))
 
 
 def test_intrinsic_search_memory_peak():
@@ -762,7 +801,7 @@ def test_intrinsic_pool_build_memory_peak():
     assert peak <= 16 * 2**20
     pool = measures._map_pool(16, 0, measures.DET_CHANNEL_CAP)
     assert measures._map_pool.cache_info().hits == 1  # the entry the call built
-    assert sum(array.nbytes for array in pool) <= 2_500_000
+    assert sum(array.nbytes for array in pool) <= 1_700_000  # the block masks alone, no map rows
     for array in pool:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

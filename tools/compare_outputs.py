@@ -9,6 +9,11 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
   `float.hex`, once with Eve's map pools cleared (cold) and once again
   (warm), and the same for its ``refine=False`` value, the deterministic
   search alone;
+- the same two values on joints that the alphabet reduction merges: 40
+  symbols with four distinct conditionals, six symbols in two groups of
+  three, a joint with zero-weight symbols interleaved, and each seed-0
+  ``intrinsic-joints`` joint with every symbol split into two equal halves;
+  and the exception type a joint of 17 distinct conditionals raises;
 - the device layer value by value: the sha256 of the `behavior_from` table
   of the honest device at 41 values of nu in [0, 1] and of
   `separable_chsh2_strategy` at 11 values of q in [0, 1/2], and the
@@ -29,9 +34,9 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
 
 The inputs come from ``bench/workloads.py`` of this tree and from
 `mixed_behavior`, so both trees see the same ones.  Temporary paths are
-normalized before the comparison.  Exit 0 when every item (1,172 of them)
+normalized before the comparison.  Exit 0 when every item (1,199 of them)
 is identical; otherwise the first differing items are printed and the exit
-code is 1.  A comparison takes about ten seconds on two cores.
+code is 1.  A comparison takes about 25 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -152,6 +158,23 @@ def ccq_items(diqkd_bounds) -> dict[str, str]:
     return items
 
 
+def merging_joints(seed_zero: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """Joints that `intrinsic_info` reduces exactly before its search."""
+    copies = np.zeros((2, 2, 40))
+    for e in range(40):
+        copies[e % 2, (e // 2) % 2, e] = 1 / 40
+    groups = np.zeros((2, 2, 6))
+    for a, b, e in itertools.product(range(2), range(2), range(6)):
+        groups[a, b, e] = (0.45 if a == b else 0.05) * (0.7 if e % 2 == a else 0.3) / 3
+    zeros = np.zeros((2, 2, 11))
+    zeros[:, :, 1::2] = np.random.default_rng(7).dirichlet(np.ones(20)).reshape(2, 2, 5)
+    joints = {"40 copies": copies, "two groups of three": groups, "zeros interleaved": zeros}
+    # halving is exact, so each pair of halves has its symbol's conditional
+    joints.update({f"halves of seed 0 op {i}": np.repeat(p / 2, 2, axis=2)
+                   for i, p in enumerate(seed_zero)})
+    return joints
+
+
 def dump(tree: Path) -> dict[str, str]:
     """Every compared item of the library in ``tree``, keyed by a label."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "bench")]
@@ -178,7 +201,20 @@ def dump(tree: Path) -> dict[str, str]:
                     label = f"intrinsic{unrefined} seed {seed} op {i}"
                     items[f"{label} cold"] = float.hex(op.run())
                     items[f"{label} warm"] = float.hex(op.run())
+        seed_zero: list[np.ndarray] = []
+        measures.intrinsic_info = lambda p, **kwargs: seed_zero.append(p)
+        for op in workloads.intrinsic_joints(0, work).ops:
+            op.run()
         measures.intrinsic_info = intrinsic_info
+        for label, p in merging_joints(seed_zero).items():
+            items[f"intrinsic {label}"] = float.hex(intrinsic_info(p))
+            items[f"intrinsic unrefined {label}"] = float.hex(intrinsic_info(p, refine=False))
+        distinct = np.random.default_rng(61).dirichlet(np.ones(68)).reshape(2, 2, 17)
+        try:
+            outcome = float.hex(intrinsic_info(distinct))
+        except ValueError as exc:
+            outcome = type(exc).__name__
+        items["intrinsic 17 distinct conditionals"] = outcome
         items.update(device_items(diqkd_bounds))
         items.update(ccq_items(diqkd_bounds))
         env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
