@@ -23,9 +23,8 @@ def main():
     print("  p      dephasing  depolarizing  erasure")
     curves = {k: channel_curve(k, grid=21, p_min=0.0, p_max=1.0)
               for k in ("dephasing", "depolarizing", "erasure")}
-    for i in range(21):
-        p = curves["dephasing"].samples[i].param
-        vals = [curves[k].samples[i].value for k in
+    for i, p in enumerate(curves["dephasing"].params):
+        vals = [curves[k].values[i] for k in
                 ("dephasing", "depolarizing", "erasure")]
         print(f"  {p:.2f}   " + "     ".join(f"{v:.5f}" for v in vals))
 

@@ -34,12 +34,13 @@ def main():
         print(f"  wrote {path.name}")
 
     print("\n  nu      omega   al       fbjl     hull     fractional pironio")
-    for i, s in enumerate(curves["al"].samples):
+    al = curves["al"]
+    for i, (nu, omega) in enumerate(zip(al.params, al.omegas)):
         if i % max(grid // 12, 1) and i != grid - 1:
             continue
-        row = [curves[n].samples[i].value for n in
+        row = [curves[n].values[i] for n in
                ("al", "fbjl", "hull", "fractional", "pironio")]
-        print(f"  {s.param:.4f}  {s.omega:.4f}  " + "  ".join(f"{v:.5f}" for v in row))
+        print(f"  {nu:.4f}  {omega:.4f}  " + "  ".join(f"{v:.5f}" for v in row))
 
     nu_a, nu_b = _hull_bridge()
     print(f"\nthe hull is al up to nu = {nu_a:.6f} and fbjl from nu = {nu_b:.6f},"

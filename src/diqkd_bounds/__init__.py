@@ -10,7 +10,6 @@ emitted as machine-readable bound curves.
 from .bounds import (
     NU_STAR,
     BoundCurve,
-    CurveSample,
     SimulationReport,
     al_bound,
     bound_curve,

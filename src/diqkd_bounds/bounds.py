@@ -4,8 +4,8 @@ Each generator produces upper bounds on device-independent key rates of the
 CHSH-based device (explicit-attack evaluations, the fractional relative
 entropy bound, the convex-hull combination) or of devices built on noisy
 qubit channels.  Curves are sampled on an isotropic-noise grid by default;
-every sample also records the CHSH value and the key-setting QBER so output
-can be re-plotted against any axis.
+every curve also holds the CHSH value and the key-setting QBER of each
+sample, so output can be re-plotted against any axis.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ NU_STAR = 1.0 - 1.0 / math.sqrt(2.0)  # isotropic noise where the CHSH violation
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _omega(nu: float) -> float:
+def _omega(nu):
     """CHSH value of the honest device at isotropic noise nu, and of the
     depolarizing and erasure Choi devices at channel noise nu."""
     return TWO_SQRT2 * (1.0 - nu)
@@ -73,37 +73,35 @@ def _bell_c(omega: float) -> float:
     return math.sqrt(max((omega / 2.0) ** 2 - 1.0, 0.0))
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    param: float
-    omega: float
-    qber: float
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCurve:
-    """Ordered series of (param, omega, qber, value) samples for one bound."""
+    """One bound on a strictly increasing grid of ``axis``: four aligned columns,
+    each a read-only row of one (4, n) float array copied from the inputs."""
 
     name: str
     axis: str
-    samples: tuple[CurveSample, ...]
+    params: np.ndarray
+    omegas: np.ndarray
+    qbers: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        params = [s.param for s in self.samples]
-        if any(b <= a for a, b in zip(params, params[1:])):
+        try:
+            table = np.array((self.params, self.omegas, self.qbers, self.values), dtype=float)
+        except ValueError:  # ragged columns
+            table = None
+        if table is None or table.ndim != 2:
+            raise ValueError("curve columns must be 1-d and of one length")
+        table.flags.writeable = False
+        for i, name in enumerate(("params", "omegas", "qbers", "values")):
+            object.__setattr__(self, name, table[i])
+        # in Python over lists: elementwise numpy on a few samples costs more
+        params = table[0].tolist()
+        if not all(a < b for a, b in zip(params, params[1:])):
             raise ValueError("curve params must be strictly increasing")
-        for s in self.samples:
-            if s.value < -1e-12 or s.value > 1.0 + 1e-9:
-                raise ValueError(f"bound value {s.value} outside [0, 1] for a qubit key bound")
-
-    @property
-    def params(self) -> np.ndarray:
-        return np.array([s.param for s in self.samples])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([s.value for s in self.samples])
+        for v in table[3].tolist():
+            if not -1e-12 <= v <= 1.0 + 1e-9:
+                raise ValueError(f"bound value {v} outside [0, 1] for a qubit key bound")
 
 
 def al_bound(nu: float) -> float:
@@ -267,11 +265,8 @@ def convex_hull_bound(c1: BoundCurve, c2: BoundCurve) -> BoundCurve:
     support = _lower_hull(x1, mins)
     hull_vals = np.interp(x1, x1[support], mins[support])
     hull_vals = np.minimum(hull_vals, mins)  # guard against interpolation round-off
-    samples = tuple(
-        CurveSample(s.param, s.omega, s.qber, max(float(v), 0.0))
-        for s, v in zip(c1.samples, hull_vals)
-    )
-    return BoundCurve(f"hull({c1.name},{c2.name})", c1.axis, samples)
+    return BoundCurve(f"hull({c1.name},{c2.name})", c1.axis, c1.params, c1.omegas,
+                      c1.qbers, np.maximum(hull_vals, 0.0))
 
 
 def _golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -529,8 +524,8 @@ def bound_curve(name: str, grid: int = 64, lo: float | None = None,
     """Sample one bound of `CURVES` on a parameter grid.
 
     ``axis`` is "nu" (isotropic noise, default range [0, 1 - 1/sqrt(2)]) or
-    "omega" (CHSH value, default range [2, 2*sqrt(2)]).  Each sample carries
-    the matching omega = 2*sqrt(2)*(1 - nu) and QBER = nu/2.
+    "omega" (CHSH value, default range [2, 2*sqrt(2)]).  The omega and QBER
+    columns hold 2*sqrt(2)*(1 - nu) and nu/2 at each sample.
     """
     if name not in CURVES:
         raise ValueError(f"unknown curve {name!r}; pick one of {tuple(CURVES)}")
@@ -555,12 +550,8 @@ def bound_curve(name: str, grid: int = 64, lo: float | None = None,
         raise ValueError(f"axis must be 'nu' or 'omega', got {axis!r}")
 
     point = CURVES[name]
-    samples = []
-    for param, nu in zip(params, nus):
-        nu = float(nu)
-        samples.append(CurveSample(float(param), _omega(nu), nu / 2.0,
-                                   float(max(point(nu), 0.0))))
-    return BoundCurve(name, axis, tuple(samples))
+    values = [max(point(nu), 0.0) for nu in nus.tolist()]
+    return BoundCurve(name, axis, params, _omega(nus), nus / 2.0, values)
 
 
 def channel_curve(kind: ChannelKind, grid: int = 64, p_min: float = 0.0,
@@ -576,14 +567,10 @@ def channel_curve(kind: ChannelKind, grid: int = 64, p_min: float = 0.0,
         raise ValueError("grid must be at least 2")
     if not 0.0 <= p_min < p_max <= 1.0:
         raise ValueError(f"p range [{p_min}, {p_max}] invalid")
-    samples = []
-    for p in np.linspace(p_min, p_max, grid):
-        p = float(p)
-        if kind == "dephasing":
-            omega = 2.0 * math.sqrt(1.0 + (1.0 - 2.0 * p) ** 2)
-            err = 0.0
-        else:
-            omega = _omega(p)
-            err = p / 2.0
-        samples.append(CurveSample(p, omega, err, channel_di_bound(kind, p)))
-    return BoundCurve(f"channel-{kind}", "p", tuple(samples))
+    ps = np.linspace(p_min, p_max, grid)
+    if kind == "dephasing":
+        omegas, qbers = 2.0 * np.sqrt(1.0 + (1.0 - 2.0 * ps) ** 2), np.zeros(grid)
+    else:
+        omegas, qbers = _omega(ps), ps / 2.0
+    values = [channel_di_bound(kind, p) for p in ps.tolist()]
+    return BoundCurve(f"channel-{kind}", "p", ps, omegas, qbers, values)

@@ -33,7 +33,7 @@ from .devices import behavior_from, honest_chsh_device
 from .measures import er_numeric
 from .polytope import max_local_weight
 
-CSV_HEADER = "param,omega,qber,value"
+COLUMNS = ("param", "omega", "qber", "value")  # CSV header and JSON sample keys
 
 
 def _fmt(x: float) -> str:
@@ -48,10 +48,15 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
+def _samples(curve: BoundCurve):
+    """The curve's rows of (param, omega, qber, value), as Python floats."""
+    return zip(curve.params.tolist(), curve.omegas.tolist(), curve.qbers.tolist(),
+               curve.values.tolist())
+
+
 def _curve_csv(curve: BoundCurve) -> str:
-    lines = [CSV_HEADER]
-    for s in curve.samples:
-        lines.append(",".join(_fmt(v) for v in (s.param, s.omega, s.qber, s.value)))
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(map(_fmt, row)) for row in _samples(curve)]
     return "\n".join(lines) + "\n"
 
 
@@ -59,11 +64,8 @@ def _curve_json(curve: BoundCurve) -> str:
     doc = {
         "name": curve.name,
         "axis": curve.axis,
-        "samples": [
-            {"param": float(_fmt(s.param)), "omega": float(_fmt(s.omega)),
-             "qber": float(_fmt(s.qber)), "value": float(_fmt(s.value))}
-            for s in curve.samples
-        ],
+        "samples": [dict(zip(COLUMNS, (float(_fmt(v)) for v in row)))
+                    for row in _samples(curve)],
     }
     return json.dumps(doc, indent=1) + "\n"
 

@@ -59,9 +59,9 @@ def behavior_from_dict(doc: dict) -> Behavior:
     *counts, p = _fields(doc, ("x_count", "y_count", "a_count", "b_count", "p"), "behavior")
     try:
         expected = tuple(_integer(n) for n in counts)
-        table = np.asarray(p, dtype=float)
         for v in np.asarray(p, dtype=object).flat:  # the same shape, each leaf as given
             _number(v)
+        table = np.asarray(p, dtype=float)
     except TypeError as exc:
         raise ValueError(f"malformed behavior document: {exc}") from exc
     if table.shape != expected:
@@ -90,6 +90,9 @@ def state_from_dict(doc: dict) -> DensityMatrix:
         total = int(np.prod(dims))
         if len(entries) != total * total:
             raise ValueError(f"expected {total * total} entries, got {len(entries)}")
+        for pair in entries:  # Python's own unpacking error would name no document
+            if hasattr(pair, "__len__") and len(pair) != 2:
+                raise TypeError(f"expected an entry [re, im], got {json.dumps(pair)}")
         flat = np.array([complex(_number(re), _number(im)) for re, im in entries])
     except TypeError as exc:
         raise ValueError(f"malformed state document: {exc}") from exc

@@ -5,7 +5,6 @@ import pytest
 
 from diqkd_bounds import (
     BoundCurve,
-    CurveSample,
     DensityMatrix,
     GridMismatchError,
     MeasurementFamily,
@@ -331,9 +330,8 @@ def test_fbjl_curve_solves_lp_only_at_anchors(monkeypatch):
 
 def make_curve(name, values):
     params = np.linspace(0.0, 1.0, len(values))
-    samples = tuple(CurveSample(float(p), 0.0, 0.0, float(v))
-                    for p, v in zip(params, values))
-    return BoundCurve(name, "nu", samples)
+    zeros = np.zeros(len(values))
+    return BoundCurve(name, "nu", params, zeros, zeros, values)
 
 
 def test_hull_of_convex_curve_is_itself():
@@ -423,10 +421,11 @@ def test_hull_curve_is_the_grid_hull_outside_the_bridge(kwargs):
     exact = bound_curve("hull", **kwargs)
     sampled = convex_hull_bound(bound_curve("al", **kwargs), bound_curve("fbjl", **kwargs))
     nu_a, nu_b = bounds._hull_bridge()
-    for s, g in zip(exact.samples, sampled.samples, strict=True):
-        assert s.value <= g.value + 1e-12, s.param
-        if not nu_a < 2.0 * s.qber < nu_b:  # qber = nu/2 exactly
-            assert s.value == g.value, s.param
+    for param, qber, s, g in zip(exact.params, exact.qbers, exact.values, sampled.values,
+                                 strict=True):
+        assert s <= g + 1e-12, param
+        if not nu_a < 2.0 * qber < nu_b:  # qber = nu/2 exactly
+            assert s == g, param
 
 
 # --- relative-entropy bounds ----------------------------------------------------
@@ -565,29 +564,60 @@ def test_bound_curve_looks_up_point_function_at_call_time(monkeypatch, name):
     assert len(calls) == 3
 
 
+def test_bound_curve_refuses_a_nan_value(monkeypatch):
+    # NaN fails every comparison, and max(nan, 0.0) is nan
+    original = bounds.al_bound
+    monkeypatch.setattr(bounds, "al_bound",
+                        lambda nu: math.nan if 0.0 < nu < NU_STAR else original(nu))
+    with pytest.raises(ValueError, match=r"^bound value nan outside \[0, 1\]"):
+        bound_curve("al", grid=3)
+
+
+@pytest.mark.parametrize("columns,message", [
+    (([0.0, 0.5, 1.0], [0.0] * 2, [0.0] * 3, [0.5] * 3), "1-d and of one length"),
+    (([[0.0, 0.5]], [[0.0, 0.0]], [[0.0, 0.0]], [[0.5, 0.5]]), "1-d and of one length"),
+    (([0.0, math.nan, 1.0], [0.0] * 3, [0.0] * 3, [0.5] * 3), "strictly increasing"),
+], ids=["ragged", "2-d", "nan-param"])
+def test_bound_curve_refuses_malformed_columns(columns, message):
+    with pytest.raises(ValueError, match=message):
+        BoundCurve("c", "nu", *columns)
+
+
+def test_bound_curve_columns_are_read_only_copies():
+    values = np.full(4, 0.5)
+    curve = BoundCurve("c", "nu", np.linspace(0.0, 1.0, 4), values, values, values)
+    values[0] = 2.0
+    for column in (curve.params, curve.omegas, curve.qbers, curve.values):
+        assert column.shape == (4,) and column.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+    assert curve.values.tolist() == [0.5] * 4
+
+
 @pytest.mark.parametrize("name", sorted(bounds.CURVES))
 def test_omega_axis_past_tsirelson_keeps_nu_nonnegative(name):
     # the range check lets hi pass 2*sqrt(2) by 1e-12; such a hi is the Tsirelson point
     over = bound_curve(name, grid=3, hi=2.8284271247465, axis="omega")
     exact = bound_curve(name, grid=3, hi=TWO_SQRT2, axis="omega")
-    assert min(s.qber for s in over.samples) >= 0.0
-    assert over.samples[-1].value == exact.samples[-1].value
+    assert min(over.qbers) >= 0.0
+    assert over.values[-1] == exact.values[-1]
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "erasure"])
 def test_channel_curve_above_achievable_rate(kind):
     # each bound must stay above the Pironio rate of its Choi device, read at
     # the curve's own omega and QBER columns; dephasing meets it exactly
-    for s in channel_curve(kind, grid=401).samples:
-        assert s.value >= pironio_rate_at(s.omega, s.qber) - 1e-12, (kind, s)
+    curve = channel_curve(kind, grid=401)
+    for p, omega, qber, value in zip(curve.params, curve.omegas, curve.qbers, curve.values):
+        assert value >= pironio_rate_at(omega, qber) - 1e-12, (kind, p)
 
 
 def test_channel_curve_samples():
     curve = channel_curve("erasure", grid=3, p_min=0.0, p_max=1.0)
-    assert [s.param for s in curve.samples] == [0.0, 0.5, 1.0]
-    assert abs(curve.samples[0].value - 1.0) < 1e-12
-    assert curve.samples[1].value == 0.0
-    assert curve.samples[2].value == 0.0
+    assert curve.params.tolist() == [0.0, 0.5, 1.0]
+    assert abs(curve.values[0] - 1.0) < 1e-12
+    assert curve.values[1] == 0.0
+    assert curve.values[2] == 0.0
 
 
 # --- dephasing simulation ---------------------------------------------------------

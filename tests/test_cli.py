@@ -316,6 +316,22 @@ def test_malformed_input_file_is_one_line_error(tmp_path, capsys, command, text)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,doc,message", [
+    ("er", {"dims": [1], "entries": [[0.25]]},
+     "malformed state document: expected an entry [re, im], got [0.25]"),
+    ("er", {"dims": [1], "entries": [[0.25, 0, 0]]},
+     "malformed state document: expected an entry [re, im], got [0.25, 0, 0]"),
+    ("localweight", {"x_count": 1, "y_count": 1, "a_count": 2, "b_count": 2,
+                     "p": [[[["x", 0.0], [0.0, 0.5]]]]},
+     'malformed behavior document: expected a number, got "x"'),
+], ids=["short-entry", "long-entry", "non-numeric-string"])
+def test_malformed_leaf_is_named_in_the_error(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_state_file_with_negative_dims_is_rejected(tmp_path, capsys):
     # prod([-2, -2]) = 4 matches the 16 entries
     path = tmp_path / "state.json"

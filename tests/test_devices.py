@@ -13,6 +13,7 @@ from diqkd_bounds import (
     MeasurementFamily,
     assemble_ccq,
     behavior_from,
+    bound_curve,
     broadcast_ccq,
     chsh_value,
     cmi_ccq,
@@ -320,6 +321,7 @@ VALIDATED = {
     "Behavior": lambda: behavior_from(*honest_chsh_device(0.1)),
     "CcqState": lambda: assemble_ccq(make_isotropic(0.1), (Z_POVM, Z_POVM)),
     "LocalDecomposition": lambda: max_local_weight(behavior_from(*honest_chsh_device(0.1))),
+    "BoundCurve": lambda: bound_curve("al", grid=4),
 }
 
 

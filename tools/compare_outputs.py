@@ -26,6 +26,13 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
   `cmi_ccq` of `broadcast_ccq`, with uniform p(x, y);
 - ``er`` stdout on the random 2x3 state of the ``cold-cli`` workload, seeds
   1-10;
+- the curve layer through ``cli.main`` in process, as the exit code and the
+  sha256 of stdout of 183 ``curve`` commands, each once as printed and once
+  with ``cli._fmt`` printing every number in full: the five named curves at
+  grids 2, 3, 4, 17, 64, 257 and 1001 in both formats on both axes, each
+  on ``--min 0.1 --max 0.9`` and on ``--axis omega`` up to a ``--max``
+  just past 2*sqrt(2), and the three channel kinds at grids 2, 21, 64, 401
+  and 1001 in both formats and on ``--p-min 0.3 --p-max 0.7``;
 - stdout, stderr and exit code of 56 more CLI commands, each in its own
   process: every curve, ``device`` at five values of nu in both formats,
   ``localweight`` on the honest behavior and on a fixed behavior of shape
@@ -34,7 +41,7 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
 
 The inputs come from ``bench/workloads.py`` of this tree and from
 `mixed_behavior`, so both trees see the same ones.  Temporary paths are
-normalized before the comparison.  Exit 0 when every item (1,199 of them)
+normalized before the comparison.  Exit 0 when every item (1,565 of them)
 is identical; otherwise the first differing items are printed and the exit
 code is 1.  A comparison takes about 25 seconds on two cores.
 """
@@ -62,6 +69,8 @@ INTRINSIC_SEEDS = range(22)
 ER_SEEDS = range(1, 11)
 SIMULATE_PS = ("0", "0.1", "0.2", "0.25", "0.29")
 DEVICE_NUS = ("0", "0.1", "0.29", "0.6", "1")
+NAMED_CURVES = ("al", "fbjl", "hull", "fractional", "pironio")
+CHANNEL_KINDS = ("dephasing", "depolarizing", "erasure")
 SHOWN_DIFFERENCES = 5
 
 
@@ -86,15 +95,37 @@ def mixed_behavior() -> dict:
     return {"x_count": 2, "y_count": 3, "a_count": 3, "b_count": 2, "p": p.tolist()}
 
 
+def curve_commands() -> list[list[str]]:
+    """The argv of every ``curve`` command run in process."""
+    commands = [["curve", name, "--grid", str(grid), "--format", fmt, "--axis", axis]
+                for name in NAMED_CURVES for grid in (2, 3, 4, 17, 64, 257, 1001)
+                for fmt in ("csv", "json") for axis in ("nu", "omega")]
+    commands += [["curve", name, *limits] for name in NAMED_CURVES
+                 for limits in (["--min", "0.1", "--max", "0.9"],
+                                ["--axis", "omega", "--max", "2.8284271247465"])]
+    commands += [["curve", "channel", "--kind", kind, "--grid", str(grid), "--format", fmt]
+                 for kind in CHANNEL_KINDS for grid in (2, 21, 64, 401, 1001)
+                 for fmt in ("csv", "json")]
+    commands += [["curve", "channel", "--kind", kind, "--p-min", "0.3", "--p-max", "0.7"]
+                 for kind in CHANNEL_KINDS]
+    return commands
+
+
+def main_in_process(cli, argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of ``cli.main(argv)``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
 def cli_commands(behavior: Path, state: Path, mixed: Path) -> list[list[str]]:
     """The argv of every CLI command whose output is compared."""
-    named = ("al", "fbjl", "hull", "fractional", "pironio")
     commands = [["curve", name, "--grid", "64", "--format", fmt]
-                for name in named for fmt in ("csv", "json")]
-    commands += [["curve", name, "--grid", "64", "--axis", "omega"] for name in named]
+                for name in NAMED_CURVES for fmt in ("csv", "json")]
+    commands += [["curve", name, "--grid", "64", "--axis", "omega"] for name in NAMED_CURVES]
     commands.append(["curve", "hull", "--grid", "257"])
-    commands += [["curve", "channel", "--kind", kind, "--grid", "33"]
-                 for kind in ("dephasing", "depolarizing", "erasure")]
+    commands += [["curve", "channel", "--kind", kind, "--grid", "33"] for kind in CHANNEL_KINDS]
     commands += [["device", "--nu", nu, "--format", fmt]
                  for nu in DEVICE_NUS for fmt in ("json", "csv")]
     commands += [["localweight", "--file", str(path), "--format", fmt]
@@ -228,11 +259,19 @@ def dump(tree: Path) -> dict[str, str]:
             state_dir = work / f"cold-cli-{seed}"
             state_dir.mkdir()
             workloads.ColdCli(seed, state_dir)
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(["er", "--file", str(state_dir / "random.json"),
-                                 "--seed", str(seed)])
-            items[f"er cold-cli seed {seed}"] = json.dumps([code, buf.getvalue()])
+            items[f"er cold-cli seed {seed}"] = json.dumps(main_in_process(
+                cli, ["er", "--file", str(state_dir / "random.json"), "--seed", str(seed)]))
+        # 12 digits hide a change in the last bits of a column, so each
+        # command also runs with every number printed in full
+        printed = cli._fmt
+        for label, fmt in (("in process", printed),
+                           ("in process full precision", lambda x: repr(float(x)))):
+            cli._fmt = fmt
+            for argv in curve_commands():
+                code, out = main_in_process(cli, argv)
+                items[f"{label} {' '.join(argv)}"] = json.dumps(
+                    [code, hashlib.sha256(out.encode()).hexdigest()])
+        cli._fmt = printed
         inputs = work / "cold-cli-1"
         mixed = work / "mixed.json"
         mixed.write_text(json.dumps(mixed_behavior()))
