@@ -209,10 +209,11 @@ def behavior_from(state: DensityMatrix, m: MeasurementFamily) -> Behavior:
         raise DimensionMismatchError(
             f"state dimension {state.dim} incompatible with measurements {da}x{db}"
         )
-    table = np.empty((len(m.alice), len(m.bob), m.alice.shape[1], m.bob.shape[1]))
-    for x, y, a, b in np.ndindex(table.shape):
-        table[x, y, a, b] = float(np.trace(np.kron(m.alice[x, a], m.bob[y, b]) @ state.matrix).real)
-    return Behavior(table)
+    # np.kron of every pair, entry for entry: [x, a, i, j] times [y, b, k, l]
+    # at [x, y, a, b, i, k, j, l], whose (i, k) and (j, l) are kron's rows and columns
+    ops = m.alice[:, None, :, None, :, None, :, None] * m.bob[None, :, None, :, None, :, None, :]
+    ops = ops.reshape(*ops.shape[:4], state.dim, state.dim)
+    return Behavior(np.trace(ops @ state.matrix, axis1=-2, axis2=-1).real)
 
 
 def chsh_value(b: Behavior, alice_inputs: tuple[int, int] = (1, 2),

@@ -49,17 +49,36 @@ def _integer(n) -> int:
 
 
 def _number(v):
-    """``v``, refusing JSON booleans and strings, which numpy and complex() read as numbers."""
-    if isinstance(v, (bool, str)):
+    """``v`` if it is a JSON number.
+
+    Booleans, which numpy and complex() read as numbers, are refused, and so
+    are strings, nulls, arrays and objects.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {json.dumps(v)}")
     return v
+
+
+def _load(path: str | Path, from_dict, kind: str):
+    """``from_dict`` of the JSON document at ``path``.
+
+    A document nested past Python's recursion limit, or an integer literal
+    beyond float range, is refused as malformed.
+    """
+    text = Path(path).read_text()
+    try:
+        return from_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError(f"malformed {kind} document: nested too deeply") from None
+    except OverflowError:
+        raise ValueError(f"malformed {kind} document: a number is beyond float range") from None
 
 
 def behavior_from_dict(doc: dict) -> Behavior:
     *counts, p = _fields(doc, ("x_count", "y_count", "a_count", "b_count", "p"), "behavior")
     try:
         expected = tuple(_integer(n) for n in counts)
-        for v in np.asarray(p, dtype=object).flat:  # the same shape, each leaf as given
+        for v in np.asarray(p, dtype=object).reshape(-1):  # each leaf as given; .flat stops at 32-d
             _number(v)
         table = np.asarray(p, dtype=float)
     except TypeError as exc:
@@ -74,7 +93,7 @@ def save_behavior(b: Behavior, path: str | Path):
 
 
 def load_behavior(path: str | Path) -> Behavior:
-    return behavior_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, behavior_from_dict, "behavior")
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
@@ -104,4 +123,4 @@ def save_state(rho: DensityMatrix, path: str | Path):
 
 
 def load_state(path: str | Path) -> DensityMatrix:
-    return state_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, state_from_dict, "state")

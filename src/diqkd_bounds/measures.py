@@ -32,9 +32,11 @@ LN2 = math.log(2.0)
 # The whole pool is screened through one term per distinct block that its
 # maps split Eve's alphabet into (all 2^|E| subsets for a partition pool,
 # ~4,100 of 65,536 for a sampled |E| = 16 one); only a shortlist is re-scored
-# exactly with `_det_channel_values`.  `_map_pool` builds each pool
-# once per (|E|, seed, cap) in a process and keeps the last 8, the partition
-# pools shared by every seed; a sampled |E| = 16 entry holds 1.6 MB.
+# exactly with `_det_channel_values`.  Every pool holds the identity map,
+# whose value is I(A:B|E), and a constant map, whose value is I(A:B), so the
+# search alone keeps both ceilings.  `_map_pool` builds each pool once per
+# (|E|, seed, cap) in a process and keeps the last 8 (a sampled |E| = 16
+# entry holds 1.6 MB, the |E| = 9 partition pool 384 KB).
 DET_CHANNEL_CAP = 50_000
 # L-BFGS-B iterations per intrinsic-information restart.  A run whose channel
 # heads for the simplex boundary crawls there (rows = theta**2 flattens the
@@ -508,40 +510,33 @@ def _searched_arrays(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arrays
 
 
-@functools.cache
-def _partition_pool(n_e: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_searched_arrays` of every partition of Eve's alphabet: one copy for every seed."""
-    return _searched_arrays(_partitions(n_e))
-
-
 @functools.lru_cache(maxsize=8)
 def _map_pool(n_e: int, seed: int, cap: int) -> tuple[np.ndarray, ...]:
     """(masks, subsets, jitter): what `intrinsic_info` searches at |E| = ``n_e``, read-only.
 
     ``masks`` holds the `_block_masks` of one deterministic map per row, the
     only form in which a map is kept: every partition of Eve's alphabet when
-    Bell(|E|) <= ``cap``, the arrays of `_partition_pool` that every seed
-    shares; otherwise ``cap`` maps drawn from ``default_rng(seed)``, the
-    first replaced by the identity, and then the |E| constant maps (1.6 MB
-    in all at |E| = 16).  ``subsets`` holds the distinct masks, ascending:
-    the only subsets whose terms the screen reads (4,089 of 65,536 for a
-    sampled |E| = 16 pool of seed 0).  ``jitter``, the perturbation of the
-    refinement starts, is the next draw of the same generator, so a cached
-    pool starts refinement from the bits a fresh draw would.  ``cap`` is
-    `DET_CHANNEL_CAP` as the caller reads it.
+    Bell(|E|) <= ``cap``, the all-singleton one (the identity) and the
+    one-block one (a constant map) among them; otherwise ``cap`` maps drawn
+    from ``default_rng(seed)``, the first replaced by the identity, and then
+    the |E| constant maps (1.6 MB in all at |E| = 16).  ``subsets`` holds the
+    distinct masks, ascending: the only subsets whose terms the screen reads
+    (4,089 of 65,536 for a sampled |E| = 16 pool of seed 0).  ``jitter``, the
+    perturbation of the refinement starts, is the next draw of the same
+    generator, so a cached pool starts refinement from the bits a fresh draw
+    would.  ``cap`` is `DET_CHANNEL_CAP` as the caller reads it.
     """
     rng = np.random.default_rng(seed)
     if _bell(n_e) <= cap:
-        searched = _partition_pool(n_e)
+        maps = _partitions(n_e)
     else:
         maps = np.empty((cap + n_e, n_e), dtype=np.uint8)
         maps[:cap] = rng.integers(0, n_e, size=(cap, n_e))
-        maps[0] = np.arange(n_e)  # keep the identity in the pool
+        maps[0] = np.arange(n_e)  # the identity gives I(A:B|E)
         maps[cap:] = np.arange(n_e)[:, None]  # the constant maps give I(A:B)
-        searched = _searched_arrays(maps)
     jitter = 0.15 * rng.standard_normal((_INTRINSIC_RESTARTS, n_e, n_e))
     jitter.flags.writeable = False
-    return (*searched, jitter)
+    return (*_searched_arrays(maps), jitter)
 
 
 def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> float:
@@ -552,22 +547,23 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     map's value depends only on the partition of Eve's alphabet it induces,
     so every one of the Bell(|E|) partitions is tried when they fit under
     `DET_CHANNEL_CAP` (through |E| = 9); otherwise `DET_CHANNEL_CAP` seeded
-    random maps plus the identity and the |E| constant maps, so the value
-    never exceeds I(A:B).  The pool's block masks (a map's only stored form)
-    and the distinct masks among them do not depend on the joint: `_map_pool`
-    builds them once per (|E|, seed, cap) in a process and keeps the last 8
-    (1.6 MB for a sampled |E| = 16 pool; the partition pools are shared by
-    every seed), so a call pays for the joint's term of I(A:B|F) on each
-    subset the pool reads (~4,100 of 65,536 at a sampled |E| = 16) and the
-    screen of the pool through them, one output column at a time.  The maps
-    screened near the best splits are re-scored exactly.  Then L-BFGS-B with
+    random maps plus the identity and the |E| constant maps.  Every pool
+    holds the identity and a constant map, so the value never exceeds the
+    unprocessed I(A:B|E) nor I(A:B).  The pool's block masks (a map's only
+    stored form) and the distinct masks among them do not depend on the
+    joint: `_map_pool` builds them once per (|E|, seed, cap) in a process and
+    keeps the last 8 (1.6 MB for a sampled |E| = 16 pool), so a call pays for
+    the joint's term of I(A:B|F) on each subset the pool reads (~4,100 of
+    65,536 at a sampled |E| = 16) and the screen of the pool through them,
+    one output column at a time.  The maps screened near the best splits are
+    re-scored exactly, in one `_det_channel_values` call.  Then L-BFGS-B with
     the exact gradient on the stochastic-matrix parametrization, from the 4
     best deterministic maps that split Eve's alphabet differently: the 4
     runs go in lockstep through `minimize`, one objective call answering
     every run that asks in a round, and each run is the one it would be
     alone, bit for bit.  Refinement is skipped when a deterministic map
-    already gives exactly 0.  The result is a certified upper bound on the
-    true minimum and never exceeds the unprocessed I(A:B|E).
+    already gives exactly 0, or when Eve has one symbol.  The result is a
+    certified upper bound on the true minimum.
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
@@ -583,16 +579,11 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
         raise ValueError(f"seed must be non-negative, not {seed}")
     p = _reduce_alphabet(_distribution(p_abe, "abe"))
     n_e = p.shape[2]
-    # the identity map gives the unprocessed I(A:B|E)
-    best = float(_det_channel_values(p, (1 << np.arange(n_e))[None])[0])
-    if n_e == 1 or best == 0.0:
-        return best
-
     masks, subsets, jitter = _map_pool(n_e, seed, DET_CHANNEL_CAP)
     masks = masks[_shortlist(p, masks, subsets)]
     det_values = _det_channel_values(p, masks)
-    best = min(best, float(det_values.min()))
-    if not refine or best == 0.0:
+    best = float(det_values.min())
+    if not refine or best == 0.0 or n_e == 1:
         return best
 
     # start from the best maps that split Eve's alphabet differently

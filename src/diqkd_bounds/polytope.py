@@ -181,7 +181,10 @@ def max_local_weight(b: Behavior) -> LocalDecomposition:
 
     Solves the LP  max sum_i p_i  subject to  sum_i p_i D_i(ab|xy) <= p(ab|xy)
     entrywise, p_i >= 0.  Always feasible (p = 0); the residual inherits
-    no-signaling from the behavior and the vertices.
+    no-signaling from the behavior and the vertices.  Dividing the leftover by
+    1 - q_L magnifies the rounding of the LP and any signaling of the behavior
+    under the 1e-9 tolerance; a residual that then fails `Behavior`'s checks
+    raises `NumericalFailureError`, whose message gives 1 - q_L.
     """
     shape = b.shape
     d = vertex_array(*shape).reshape(b.table.size, -1)
@@ -190,7 +193,11 @@ def max_local_weight(b: Behavior) -> LocalDecomposition:
     q_l = float(min(max(weights.sum(), 0.0), 1.0))
     if q_l < 1.0 - 1e-9:
         leftover = (target - d @ weights).reshape(shape)
-        residual = Behavior(np.clip(leftover, 0.0, None) / (1.0 - q_l))
+        try:
+            residual = Behavior(np.clip(leftover, 0.0, None) / (1.0 - q_l))
+        except ValueError as exc:
+            raise NumericalFailureError(f"nonlocal residual fails the behavior check after "
+                                        f"division by 1 - q_L = {1.0 - q_l:.3e}: {exc}") from exc
         used = True
     else:
         residual = Behavior(np.full(shape, 1.0 / (shape[2] * shape[3])))

@@ -98,6 +98,18 @@ def test_er_subcommand(tmp_path, capsys):
     assert abs(value - expected) < 1e-3
 
 
+def test_er_csv_value_is_the_json_value(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    save_state(make_isotropic(0.1), path)
+    runs = [run_cli(capsys, "er", "--file", str(path), "--restarts", "1", *fmt)
+            for fmt in ((), ("--format", "csv"))]
+    (json_code, json_out, _), (csv_code, csv_out, _) = runs
+    assert (json_code, csv_code) == (0, 0)
+    header, value = csv_out.splitlines()
+    assert header == "value"
+    assert float(value) == json.loads(json_out)["value"]
+
+
 def test_simulate_report(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--kind", "depolarizing", "--p", "0.1")
     assert code == 0
@@ -118,6 +130,20 @@ def test_simulate_report_fields_are_bool_str_or_float(kind, capsys):
         assert type(getattr(report, f.name)).__name__ == f.type, f.name
     _, out, _ = run_cli(capsys, "simulate", "--kind", kind, "--p", "0.1")
     assert list(json.loads(out)) == [f.name for f in fields]
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "erasure"])
+def test_simulate_csv_is_the_json_document(kind, capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--kind", kind, "--p", "0.1")
+    assert code == 0
+    doc = json.loads(out)
+    code, out, _ = run_cli(capsys, "simulate", "--kind", kind, "--p", "0.1", "--format", "csv")
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert header == list(doc)
+    # booleans as JSON writes them, true and false; floats as their JSON numbers
+    assert row == [v if isinstance(v, str) else json.dumps(v) for v in doc.values()]
+    assert row[-2:] == ["true", "true"]  # chsh_match, qber_match
 
 
 def test_byte_identical_reruns(capsys):
@@ -330,6 +356,41 @@ def test_malformed_leaf_is_named_in_the_error(tmp_path, capsys, command, doc, me
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, command, "--file", str(path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+BEYOND_FLOAT = "1" + "0" * 400  # an integer literal that no float holds
+BEHAVIOR_HEAD = '{"x_count": 1, "y_count": 1, "a_count": 2, "b_count": 2, "p": '
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("localweight", BEHAVIOR_HEAD + "[" * 1000 + "]" * 1000 + "}",
+     "malformed behavior document: nested too deeply"),
+    ("localweight", BEHAVIOR_HEAD + f"[[[[{BEYOND_FLOAT}, 0.0], [0.0, 0.5]]]]}}",
+     "malformed behavior document: a number is beyond float range"),
+    ("er", f'{{"dims": [1], "entries": [[{BEYOND_FLOAT}, 0]]}}',
+     "malformed state document: a number is beyond float range"),
+    ("localweight", BEHAVIOR_HEAD + "[[[[0.5, 0.0], [0.0]]]]}",
+     "malformed behavior document: expected a number, got [0.5, 0.0]"),
+    ("localweight", BEHAVIOR_HEAD + "[[[[0.5, null], [0.0, 0.5]]]]}",
+     "malformed behavior document: expected a number, got null"),
+    ("er", '{"dims": [1], "entries": [[null, 0]]}',
+     "malformed state document: expected a number, got null"),
+], ids=["deep", "p-beyond-float", "entry-beyond-float", "ragged-p", "null-p", "null-entry"])
+def test_malformed_document_is_one_malformed_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_localweight_names_one_minus_q_l_when_the_residual_fails(tmp_path, capsys):
+    # 1 - q_L ~ 5e-8: the division pushes the residual's slice sums past 1e-9
+    path = tmp_path / "device.json"
+    assert run_cli(capsys, "device", "--nu", "0.29289318", "--output", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "localweight", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: nonlocal residual fails the behavior check after division "
+                          "by 1 - q_L = ") and err.count("\n") == 1
 
 
 def test_state_file_with_negative_dims_is_rejected(tmp_path, capsys):

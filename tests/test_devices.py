@@ -93,6 +93,25 @@ def test_behavior_from_is_no_signaling_for_random_devices():
         behavior_from(state, fam)  # constructor enforces no-signaling at 1e-9
 
 
+def test_behavior_from_is_the_kron_trace_bit_for_bit():
+    # tr[(A_a^x (x) B_b^y) rho] cell by cell, with np.kron and one trace each
+    rng = np.random.default_rng(103)
+    devices = [honest_chsh_device(nu) for nu in (0.0, 0.1, 0.29, 1.0)]
+    devices += [separable_chsh2_strategy(q) for q in (0.0, 0.3)]
+    devices.append((random_density(rng, (2, 2)), random_projective_family(rng, 3, 2)))
+    # a qutrit on Bob's side, so that kron's row and column order shows
+    bases = [np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+             for _ in range(2)]
+    bob = [[np.outer(u[:, k], u[:, k].conj()) for k in range(3)] for u in bases]
+    alice = random_projective_family(rng, 2, 1).alice
+    devices.append((random_density(rng, (2, 3)), MeasurementFamily(alice, bob)))
+    for state, fam in devices:
+        table = behavior_from(state, fam).table
+        for x, y, a, b in np.ndindex(table.shape):
+            cell = np.trace(np.kron(fam.alice[x, a], fam.bob[y, b]) @ state.matrix).real
+            assert table[x, y, a, b].tobytes() == cell.tobytes(), (x, y, a, b)
+
+
 def test_chsh_deterministic_hits_local_bound():
     assert abs(chsh_value(deterministic_behavior(), (0, 1), (0, 1)) - 2.0) < 1e-15
 

@@ -609,14 +609,38 @@ def test_map_pool_subsets_are_the_distinct_masks():
         assert masks.flags.f_contiguous and masks[:, -1].flags.c_contiguous, n_e
 
 
-def test_partition_pools_are_shared_by_every_seed():
+def test_partition_pools_are_equal_for_every_seed():
     for n_e in (3, 9):
         first, second = (measures._map_pool(n_e, seed, measures.DET_CHANNEL_CAP)
                          for seed in (0, 1))
-        assert all(a is b for a, b in zip(first[:2], second[:2])), n_e  # masks, subsets
+        assert all(np.array_equal(a, b) for a, b in zip(first[:2], second[:2])), n_e
         assert first[2].tobytes() != second[2].tobytes(), n_e  # the jitter is the seed's own
     p = pin_joint("dirichlet", 9)
     assert intrinsic_info(p, seed=0, refine=False) == intrinsic_info(p, seed=1, refine=False)
+
+
+@pytest.mark.parametrize("n_e", [*range(1, 10), 16])
+def test_every_pool_holds_the_identity_and_a_constant_map(n_e):
+    # the identity gives I(A:B|E) and a constant map I(A:B): the two ceilings
+    masks, _, _ = measures._map_pool(n_e, 3, measures.DET_CHANNEL_CAP)
+    identity = 1 << np.arange(n_e)
+    constant = np.zeros(n_e)
+    constant[0] = (1 << n_e) - 1  # every symbol sent to output 0
+    for row in (identity, constant):
+        assert np.any(np.all(masks == row, axis=1)), (n_e, row)
+
+
+@pytest.mark.parametrize("family, n_e", [("dirichlet", 1), ("dirichlet", 5), ("copy", 16)])
+def test_intrinsic_scores_maps_exactly_once_per_call(family, n_e, monkeypatch):
+    calls, det_channel_values = [], measures._det_channel_values
+
+    def counting(p, masks):
+        calls.append(len(masks))
+        return det_channel_values(p, masks)
+
+    monkeypatch.setattr(measures, "_det_channel_values", counting)
+    intrinsic_info(pin_joint(family, n_e))
+    assert len(calls) == 1
 
 
 def loop_subset_term(p: np.ndarray, subset: int) -> float:

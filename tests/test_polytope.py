@@ -18,7 +18,7 @@ from diqkd_bounds import (
     max_local_weight_with_residual,
     simplex_solve,
 )
-from diqkd_bounds.errors import DimensionMismatchError, InfeasibleError
+from diqkd_bounds.errors import DimensionMismatchError, InfeasibleError, NumericalFailureError
 from diqkd_bounds.polytope import vertex_array
 from util import random_ns_behavior
 
@@ -288,6 +288,37 @@ def test_local_weight_monotone_in_isotropic_noise():
         q = max_local_weight(behavior_from(state, fam)).local_weight
         assert q >= prev - 1e-8
         prev = q
+
+
+def honest_behavior(nu: float, signaling: float = 0.0) -> Behavior:
+    """The honest behavior, Alice's x = 1 marginal moved by ``signaling`` with y."""
+    t = behavior_from(*honest_chsh_device(nu)).table.copy()
+    t[1, 1, 0] += signaling / 2
+    t[1, 1, 1] -= signaling / 2
+    return Behavior(t)
+
+
+NU_STAR = 1 - 1 / math.sqrt(2)
+NEAR_FRONTIER = [pytest.param(honest_behavior(NU_STAR * (1 - s * 10.0**-k)), id=f"nu*(1-{s}e-{k})")
+                 for s in (1, 3) for k in range(1, 13)]
+# signaling by 8e-10, which the behavior check allows
+SIGNALING = [pytest.param(honest_behavior(nu, 8e-10), id=f"signaling nu={nu}")
+             for nu in (0.0, 0.1, 0.2, 0.28)]
+
+
+@pytest.mark.parametrize("b", NEAR_FRONTIER + SIGNALING)
+def test_local_weight_is_a_decomposition_or_names_one_minus_q_l(b):
+    # dividing the leftover by a small 1 - q_L magnifies rounding and signaling
+    # under 1e-9 past the behavior checks: that must be the one error
+    try:
+        dec = max_local_weight(b)
+    except NumericalFailureError as exc:
+        message = str(exc)
+        assert "\n" not in message
+        assert message.startswith("nonlocal residual fails the behavior check after "
+                                  "division by 1 - q_L = ")
+        return
+    assert np.max(np.abs(dec.reconstruct() - b.table)) < 1e-8
 
 
 # --- decomposition against a fixed residual ------------------------------------------

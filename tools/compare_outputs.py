@@ -218,7 +218,8 @@ def dump(tree: Path) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         intrinsic_info = measures.intrinsic_info
-        # an older tree has no _partition_pool
+        # every pool cache of the tree: some trees keep the partition pools
+        # in a second cache, _partition_pool, beside _map_pool
         pools = [getattr(measures, name) for name in ("_map_pool", "_partition_pool")
                  if hasattr(measures, name)]
         # the operations look measures.intrinsic_info up at each call
