@@ -24,6 +24,14 @@ import numpy as np
 from .devices import Behavior
 from .states import DensityMatrix, _factor_dims
 
+_SHOWN_CHARS = 80  # of a refused JSON value in an error message
+
+
+def _shown(v) -> str:
+    """``json.dumps(v)``, cut to `_SHOWN_CHARS` characters with "…" when longer."""
+    text = json.dumps(v)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 1] + "…"
+
 
 def behavior_to_dict(b: Behavior) -> dict:
     x, y, a, bb = b.shape
@@ -55,7 +63,7 @@ def _number(v):
     are strings, nulls, arrays and objects.
     """
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"expected a number, got {json.dumps(v)}")
+        raise TypeError(f"expected a number, got {_shown(v)}")
     return v
 
 
@@ -111,7 +119,7 @@ def state_from_dict(doc: dict) -> DensityMatrix:
             raise ValueError(f"expected {total * total} entries, got {len(entries)}")
         for pair in entries:  # Python's own unpacking error would name no document
             if hasattr(pair, "__len__") and len(pair) != 2:
-                raise TypeError(f"expected an entry [re, im], got {json.dumps(pair)}")
+                raise TypeError(f"expected an entry [re, im], got {_shown(pair)}")
         flat = np.array([complex(_number(re), _number(im)) for re, im in entries])
     except TypeError as exc:
         raise ValueError(f"malformed state document: {exc}") from exc

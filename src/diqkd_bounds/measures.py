@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .devices import EVE_HERMITICITY_TOL, CcqState, _probabilities
-from .errors import AlphabetTooLargeError, DimensionMismatchError
+from .errors import AlphabetTooLargeError, DimensionMismatchError, NumericalFailureError
 from .linalg import psd_spectrum
 from .states import DensityMatrix, binary_entropy, entropy_of_eigenvalues
 
@@ -51,6 +51,9 @@ MAX_EVE_ALPHABET = 16
 # screened within this of the cut is re-scored exactly.
 _SCREEN_MARGIN = 1e-9
 _SCREEN_PREFIX = 64  # least screened maps sorted first in search of 4 distinct splits
+# No channel takes I(A:B|F) below the one-way key rate (`_key_rate_floor`), so
+# refinement is skipped when the deterministic best is within this of it.
+_FLOOR_MARGIN = 1e-12
 
 
 # Stopping tolerances of every L-BFGS-B descent, in the terms of scipy's
@@ -100,7 +103,7 @@ def _lbfgsb_routine():
     return module
 
 
-def minimize(fun, x0, *, method, maxiter) -> Descent:
+def minimize(fun, x0, *, method, maxiter, stop=-math.inf) -> Descent:
     """Unbounded L-BFGS-B from each row of ``x0`` in lockstep: scipy's routine, driven directly.
 
     ``fun(X) -> (values, gradients)`` takes a (k, n) block of points and
@@ -109,7 +112,10 @@ def minimize(fun, x0, *, method, maxiter) -> Descent:
     ``_lbfgsb.setulb``.  Every round advances each running start until it
     asks for f and g at a new point or stops, and one call of ``fun``
     answers all the asks, so the block shrinks as runs stop; a single start
-    is a block of one row.
+    is a block of one row.  The whole descent ends after the first round in
+    which a run evaluates a value at or below ``stop``: each run is then a
+    prefix of its full run.  The default, -inf, never ends it early for an
+    objective with finite values.
 
     Each run answers the reverse-communication calls as
     ``scipy.optimize.minimize(fun, x0[i], jac=True, method="L-BFGS-B")``
@@ -124,7 +130,9 @@ def minimize(fun, x0, *, method, maxiter) -> Descent:
     running minimum that `intrinsic_info` and `er_numeric` read.
     ``setulb`` is private scipy API: a test in tests/test_measures.py
     compares whole runs with ``scipy.optimize.minimize``, so a scipy release
-    that changes the routine fails there.
+    that changes the routine fails there, and a call that the routine
+    refuses with TypeError raises NumericalFailureError naming the scipy
+    version.
 
     ``method`` must be "L-BFGS-B": the benchmark's tracer names its metrics
     after it, and reads the result counters (the totals over the runs).  Any
@@ -138,10 +146,10 @@ def minimize(fun, x0, *, method, maxiter) -> Descent:
     if method != "L-BFGS-B" or x.ndim != 2 or not x.size:
         raise ValueError("minimize runs L-BFGS-B on fun(X) -> (values, gradients) from the "
                          "rows of a (k, n) block x0: it takes method='L-BFGS-B' only")
-    _lbfgsb = _lbfgsb_routine()
+    setulb = _lbfgsb_routine().setulb
     (k, n), m = x.shape, _LBFGSB_MEMORY
     g, evaluated = np.zeros((2, k, n))
-    f, least, nfev, nit = [0.0] * k, [math.inf] * k, [0] * k, [0] * k
+    least, nfev, nit = [math.inf] * k, [0] * k, [0] * k
     bound, nbd = np.zeros(n), np.zeros(n, dtype=np.int32)  # no bounds on any variable
     wa = np.zeros((k, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
     iwa = np.zeros((k, 3 * n), dtype=np.int32)
@@ -149,23 +157,32 @@ def minimize(fun, x0, *, method, maxiter) -> Descent:
     lsave, isave = np.zeros((k, 4), dtype=np.int32), np.zeros((k, 44), dtype=np.int32)
     dsave = np.zeros((k, 29))
     factr = _FTOL / np.finfo(float).eps
-    # each run's rows of the workspaces, which setulb updates in place
-    rows = list(zip(x, g, evaluated, wa, iwa, task, lsave, isave, dsave, ln_task))
-    setulb, gtol, maxls = _lbfgsb.setulb, _GTOL, _LBFGSB_MAXLS
+    # each run's arguments of setulb, whose arrays it updates in place; f, at
+    # index 5, is set after each evaluation
+    calls = [[m, x_i, bound, bound, nbd, 0.0, g_i, factr, _GTOL, *work, _LBFGSB_MAXLS, ln_i]
+             for x_i, g_i, ln_i, *work in zip(x, g, ln_task, wa, iwa, task, lsave, isave, dsave)]
+    # each run's task, iterate and last evaluated point as memoryviews, which
+    # read an item and compare in a fraction of numpy's time
+    views = [tuple(map(memoryview, arrays)) for arrays in zip(task, x, evaluated)]
     running = range(k)
     while running:
         asking = []
         for i in running:
-            x_i, g_i, evaluated_i, wa_i, iwa_i, task_i, lsave_i, isave_i, dsave_i, ln_i = rows[i]
+            args, (task_i, x_i, evaluated_i) = calls[i], views[i]
             while True:
-                setulb(m, x_i, bound, bound, nbd, f[i], g_i, factr, gtol, wa_i, iwa_i,
-                       task_i, lsave_i, isave_i, dsave_i, maxls, ln_i)
+                try:
+                    setulb(*args)
+                except TypeError:
+                    import scipy
+
+                    raise NumericalFailureError(
+                        f"scipy {scipy.__version__}'s private L-BFGS-B routine _lbfgsb.setulb "
+                        "refused the arguments of the form it has had since scipy 1.15") from None
                 state = task_i[0]
                 if state == 3:  # FG: f and g wanted at x
-                    # scipy's cache test, np.array_equal, for a point that differs
-                    # from the last evaluated one in its first coordinate (the
-                    # usual case) in a tenth of the time
-                    if nfev[i] == 0 or x_i[0] != evaluated_i[0] or not (x_i == evaluated_i).all():
+                    # scipy's cache test, np.array_equal: memoryviews compare by
+                    # value, like it, and stop at the first item that differs
+                    if nfev[i] == 0 or x_i != evaluated_i:
                         asking.append(i)
                         break
                 elif state == 1:  # NEW_X: an iteration is done
@@ -174,21 +191,25 @@ def minimize(fun, x0, *, method, maxiter) -> Descent:
                     # that fails and restarts lets one iteration take 2 * (maxls + 1)
                     # evaluations, so 400 iterations could pass it
                     if nit[i] >= maxiter:
-                        task_i[:] = 5, 504  # STOP: iteration limit
+                        task[i] = 5, 504  # STOP: iteration limit
                     elif nfev[i] > _LBFGSB_MAXFUN:
-                        task_i[:] = 5, 502  # STOP: evaluation limit
+                        task[i] = 5, 502  # STOP: evaluation limit
                 else:  # converged, stopped or failed
                     break
         if asking:
-            block = x[asking]
-            evaluated[asking] = block
+            # a slice while every run asks: a list index costs ~1.5 us a use
+            rows = asking if len(asking) < k else slice(None)
+            block = x[rows].copy()
+            evaluated[rows] = block
             values, grads = fun(block)
-            g[asking] = grads
+            g[rows] = grads
             for i, value in zip(asking, np.asarray(values, dtype=np.float64).tolist()):
-                f[i], least[i] = value, value if value < least[i] else least[i]
+                calls[i][5] = value
+                if value < least[i]:
+                    least[i] = value
                 nfev[i] += 1
-        running = asking
-    runs = tuple(map(Run, x, f, nfev, nit, least))
+        running = asking if min(least) > stop else ()
+    runs = tuple(map(Run, x, [args[5] for args in calls], nfev, nit, least))
     return Descent(runs, sum(nfev), sum(nit), min(least))
 
 
@@ -262,6 +283,21 @@ def _plogp(t: np.ndarray) -> np.ndarray:
     return t * np.log2(np.maximum(t, 1e-300))
 
 
+def _key_rate_floor(p: np.ndarray) -> float:
+    """max(0, I(A:B) - I(A:E), I(A:B) - I(B:E)) of a joint p[a][b][e], in bits.
+
+    A secret-key rate that one-way communication achieves (Csiszar and
+    Koerner, 1978), so no channel of Eve's takes I(A:B|F) below it: the
+    intrinsic information bounds every secret-key rate from above (Maurer
+    and Wolf, IEEE Trans. Inf. Theory 45, 499, 1999).
+    """
+    h = lambda t: -float(_plogp(t).sum())
+    p_ae, p_be = p.sum(axis=1), p.sum(axis=0)
+    h_a, h_b, h_e = h(p_ae.sum(axis=1)), h(p_be.sum(axis=1)), h(p_ae.sum(axis=0))
+    # I(A:B) - I(A:E) = H(B) + H(AE) - H(AB) - H(E), and likewise with A and B swapped
+    return max(0.0, max(h_b + h(p_ae), h_a + h(p_be)) - h(p.sum(axis=2)) - h_e)
+
+
 def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
     """Drop zero-probability Eve symbols and merge identical conditionals.
 
@@ -309,31 +345,37 @@ class _IntrinsicObjective:
         theta = theta.reshape(k, n_e, n_e)
         sq = theta * theta
         s = np.maximum(np.add.reduce(sq, axis=2, keepdims=True), 1e-300)
-        rows = sq / s
+        rows = np.divide(sq, s, out=sq)
         q = np.einsum("abe,kef->kabf", self.p, rows)
         # each theta's q(a,b,f), q(a,f), q(b,f) and q(f) in one (ab + a + b + 1, f)
-        # block, so one floor, one log2 and one product cover all four tables
-        cells = np.concatenate([q.reshape(k, ab, n_e), np.add.reduce(q, axis=2),
-                                np.add.reduce(q, axis=1), np.add.reduce(q, axis=(1, 2))[:, None]],
-                               axis=1)
-        logs = np.log2(np.maximum(cells, 1e-300))
-        terms = cells * logs
+        # block, so one floor, one log2 and one product cover all four tables.
+        # The marginals are summed from q, a buffer of its own: a reduction whose
+        # input and output share one would copy its input first
         abf, af, bf, f = slice(ab), slice(ab, ab + n_a), slice(ab + n_a, -1), slice(-1, None)
+        cells = np.empty((k, ab + n_a + n_b + 1, n_e))
+        cells[:, abf] = q.reshape(k, ab, n_e)
+        np.add.reduce(q, axis=2, out=cells[:, af])
+        np.add.reduce(q, axis=1, out=cells[:, bf])
+        np.add.reduce(q, axis=(1, 2), out=cells[:, -1])
+        logs = np.log2(np.maximum(cells, 1e-300))
+        terms = np.multiply(cells, logs, out=cells)
 
         # I = H(AF) + H(BF) - H(ABF) - H(F) over every cell: a support cutoff
         # would drop the tiny cells the optimizer drives toward and report
         # values below what the channel gives
-        h_abf, h_af, h_bf, h_f = (np.add.reduce(terms[:, rows_of], axis=(1, 2))
-                                  for rows_of in (abf, af, bf, f))
-        values = h_abf + h_f - h_af - h_bf
+        reduce = np.add.reduce
+        values = (reduce(terms[:, abf], axis=(1, 2)) + reduce(terms[:, f], axis=(1, 2))
+                  - reduce(terms[:, af], axis=(1, 2)) - reduce(terms[:, bf], axis=(1, 2)))
         # dI/dq(abf) in bits, log2 q(a,b,f) + log2 q(f) - log2 q(a,f) - log2 q(b,f);
         # the -1/ln2 terms of the four entropies cancel
-        g_q = (logs[:, abf].reshape(q.shape) + logs[:, None, f] - logs[:, af, None]
-               - logs[:, None, bf])
+        g_q = logs[:, abf].reshape(q.shape) + logs[:, None, f]
+        g_q -= logs[:, af, None]
+        g_q -= logs[:, None, bf]
         g_rows = np.einsum("abe,kabf->kef", self.p, g_q)
-        g_rows -= np.add.reduce(g_rows * rows, axis=2, keepdims=True)
+        g_rows -= reduce(g_rows * rows, axis=2, keepdims=True)
         g_rows /= s
-        return values, (2.0 * theta * g_rows).reshape(k, -1)
+        g_rows *= 2.0 * theta
+        return values, g_rows.reshape(k, -1)
 
 
 def _bell(n: int) -> int:
@@ -561,9 +603,14 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     best deterministic maps that split Eve's alphabet differently: the 4
     runs go in lockstep through `minimize`, one objective call answering
     every run that asks in a round, and each run is the one it would be
-    alone, bit for bit.  Refinement is skipped when a deterministic map
-    already gives exactly 0, or when Eve has one symbol.  The result is a
-    certified upper bound on the true minimum.
+    alone, bit for bit.  No channel takes the value below the one-way
+    key rate max(0, I(A:B) - I(A:E), I(A:B) - I(B:E)) (Maurer and Wolf,
+    IEEE Trans. Inf. Theory 45, 499, 1999), computed once per refined call
+    (`_key_rate_floor`).  Refinement is skipped when the deterministic best
+    is within `_FLOOR_MARGIN` = 1e-12 of that floor (an exact 0, or a
+    single Eve symbol, whose only map gives I(A:B), among them), and the
+    lockstep descent ends in the round of its first value at or below it.
+    The result is a certified upper bound on the true minimum.
 
     Eve alphabets above 16 symbols are rejected, after an exact reduction
     that drops zero-weight symbols and merges symbols with identical
@@ -583,15 +630,19 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     masks = masks[_shortlist(p, masks, subsets)]
     det_values = _det_channel_values(p, masks)
     best = float(det_values.min())
-    if not refine or best == 0.0 or n_e == 1:
+    if not refine:
+        return best
+    floor = _key_rate_floor(p)
+    if best <= floor + _FLOOR_MARGIN:
         return best
 
     # start from the best maps that split Eve's alphabet differently
     # (cycled when there are fewer), all descending in one lockstep block
+    # that ends once a value reaches the floor
     firsts = _distinct_splits(masks, np.argsort(det_values, kind="stable"))
     thetas = _one_hot(masks[np.resize(firsts, _INTRINSIC_RESTARTS)]) + jitter
     refined = minimize(_IntrinsicObjective(p).value_and_grad, thetas.reshape(len(thetas), -1),
-                       method="L-BFGS-B", maxiter=INTRINSIC_REFINE_ITERS)
+                       method="L-BFGS-B", maxiter=INTRINSIC_REFINE_ITERS, stop=floor)
     return max(min(best, refined.least), 0.0)
 
 

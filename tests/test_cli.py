@@ -383,6 +383,44 @@ def test_malformed_document_is_one_malformed_line(tmp_path, capsys, command, tex
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command,text,head", [
+    ("localweight", BEHAVIOR_HEAD + "[" * 900 + "0.5" + "]" * 900 + "}",
+     "malformed behavior document: expected a number, got "),
+    ("er", '{"dims": [1], "entries": [' + json.dumps([0.125] * 400) + "]}",
+     "malformed state document: expected an entry [re, im], got "),
+], ids=["p-900-deep", "long-entry"])
+def test_refused_value_is_shown_in_80_characters(tmp_path, capsys, command, text, head):
+    # a p nested 900 deep names a leaf nested ~870 deep: its ~1,700 characters
+    # of JSON are cut to 79 and an ellipsis
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert (code, out) == (1, "")
+    shown = err.removeprefix(f"error: {head}").removesuffix("\n")
+    assert len(shown) == 80 and shown.endswith("…") and "\n" not in shown
+    assert err == f"error: {head}{shown}\n"
+
+
+def test_er_names_the_scipy_version_when_the_optimizer_refuses_its_arguments(
+        tmp_path, capsys, monkeypatch):
+    import types
+
+    import scipy
+
+    from diqkd_bounds import measures
+
+    def setulb(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave, maxls):
+        """A routine that no longer takes ln_task: each call is a TypeError."""
+
+    monkeypatch.setattr(measures, "_lbfgsb_routine", lambda: types.SimpleNamespace(setulb=setulb))
+    path = tmp_path / "state.json"
+    save_state(make_isotropic(0.1), path)
+    code, out, err = run_cli(capsys, "er", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: scipy {scipy.__version__}'s private L-BFGS-B routine _lbfgsb.setulb "
+                   "refused the arguments of the form it has had since scipy 1.15\n")
+
+
 def test_localweight_names_one_minus_q_l_when_the_residual_fails(tmp_path, capsys):
     # 1 - q_L ~ 5e-8: the division pushes the residual's slice sums past 1e-9
     path = tmp_path / "device.json"

@@ -673,21 +673,30 @@ def test_subset_terms_match_a_loop_over_each_subset():
 
 
 def pin_joint(family: str, n_e: int) -> np.ndarray:
-    """Seeded joints of the float.hex pins below."""
+    """Seeded joints of the float.hex pins below.
+
+    "copy": Eve's symbol is a noisy view of A alone, and her best deterministic
+    map already sits on the one-way key floor.  "views": a noisy view of A or
+    of B, by a fair coin, so the floor lies below every map and refinement runs.
+    """
     if family == "dirichlet":
         return np.random.default_rng(500 + n_e).dirichlet(np.ones(4 * n_e)).reshape(2, 2, n_e)
-    rng = np.random.default_rng(600 + n_e)
     p_ab = np.array([[0.45, 0.05], [0.05, 0.45]])
-    w = rng.dirichlet(np.ones(n_e), size=2)  # Eve's noisy view of A
+    if family == "views":
+        w, v = np.random.default_rng(720 + n_e).dirichlet(np.ones(n_e), size=(2, 2))
+        return p_ab[:, :, None] * (w[:, None, :] + v[None, :, :]) / 2
+    w = np.random.default_rng(600 + n_e).dirichlet(np.ones(n_e), size=2)  # Eve's noisy view of A
     return p_ab[:, :, None] * w[:, None, :]
 
 
 # intrinsic_info(pin_joint(family, n_e), seed=n_e, refine=refine) as computed by
 # the search that scored every map with _det_channel_values, before the subset
 # screen: the screen must leave the best map, the starts and the rng draws as
-# they were, so every value stays bit for bit
+# they were, so every value stays bit for bit.  The copy joints' refined values
+# are their unrefined ones: their best map sits on the one-way key floor, and
+# refinement is skipped
 INTRINSIC_PINS = {
-    ("copy", 2, True): "0x1.088f543ed5512p-1",
+    ("copy", 2, True): "0x1.088f543ed5514p-1",
     ("copy", 2, False): "0x1.088f543ed5514p-1",
     ("copy", 3, True): "0x1.cadc97531a78cp-2",
     ("copy", 3, False): "0x1.cadc97531a78cp-2",
@@ -711,13 +720,51 @@ INTRINSIC_PINS = {
     ("dirichlet", 9, False): "0x1.5ca0f0b01c900p-9",
     ("dirichlet", 16, True): "0x0.0p+0",
     ("dirichlet", 16, False): "0x1.ec77a460584e3p-9",
+    ("views", 2, True): "0x1.dca7a71b12848p-2",
+    ("views", 2, False): "0x1.dca7a71b12848p-2",
+    ("views", 3, True): "0x1.cd9ec63fc5350p-2",
+    ("views", 3, False): "0x1.cd9ec63fc535cp-2",
+    ("views", 5, True): "0x1.c4c7767dc6930p-2",
+    ("views", 5, False): "0x1.c4c7767dc6930p-2",
+    ("views", 7, True): "0x1.f4e00c4ab8688p-2",
+    ("views", 7, False): "0x1.f5466acf52518p-2",
+    ("views", 16, True): "0x1.d05e2c68de760p-2",
+    ("views", 16, False): "0x1.d4ef76750d040p-2",
 }
+# the refined pins as refinement gave them when it ran on every joint: the
+# floor's skip and stop may raise none of them by more than 1e-12
+REFINED_BEFORE_THE_FLOOR = {**{(f, n): v for (f, n, refine), v in INTRINSIC_PINS.items() if refine},
+                            ("copy", 2): "0x1.088f543ed5512p-1"}
 
 
 @pytest.mark.parametrize("family, n_e, refine", list(INTRINSIC_PINS))
 def test_intrinsic_info_pinned_bit_for_bit(family, n_e, refine):
     value = intrinsic_info(pin_joint(family, n_e), seed=n_e, refine=refine)
     assert float.hex(value) == INTRINSIC_PINS[family, n_e, refine]
+
+
+@pytest.mark.parametrize("family, n_e", list(REFINED_BEFORE_THE_FLOOR))
+def test_refined_pins_lie_between_the_floor_and_their_values_before_it(family, n_e):
+    p = pin_joint(family, n_e)
+    floor = measures._key_rate_floor(measures._reduce_alphabet(p))
+    value = float.fromhex(INTRINSIC_PINS[family, n_e, True])
+    assert floor - 1e-12 <= value <= float.fromhex(REFINED_BEFORE_THE_FLOOR[family, n_e]) + 1e-12
+
+
+@pytest.mark.parametrize("family, n_e", list(REFINED_BEFORE_THE_FLOOR))
+def test_intrinsic_skips_refinement_on_the_floor(family, n_e, monkeypatch):
+    # within the margin of the floor: no objective call, and the unrefined
+    # bits; elsewhere refinement runs
+    p = pin_joint(family, n_e)
+    floor = measures._key_rate_floor(measures._reduce_alphabet(p))
+    unrefined = intrinsic_info(p, seed=n_e, refine=False)
+    calls = len(refined_thetas(p, n_e, monkeypatch))
+    if unrefined <= floor + measures._FLOOR_MARGIN:
+        assert family == "copy"  # every copy pin, and only those
+        assert calls == 0
+        assert float.hex(intrinsic_info(p, seed=n_e)) == float.hex(unrefined)
+    else:
+        assert family != "copy" and calls > 0
 
 
 def split_of(g) -> tuple:
@@ -896,7 +943,7 @@ def refined_thetas(p: np.ndarray, seed: int, monkeypatch) -> list[np.ndarray]:
 
 
 def test_intrinsic_objective_matches_reference_bit_for_bit(monkeypatch):
-    joints = [pin_joint(family, n_e) for family in ("copy", "dirichlet")
+    joints = [pin_joint(family, n_e) for family in ("views", "dirichlet")
               for n_e in (2, 3, 5, 7, 16)]
     joints.append(np.random.default_rng(77).dirichlet(np.ones(24)).reshape(3, 2, 4))
     for p in joints:
@@ -934,14 +981,39 @@ def test_intrinsic_objective_matches_reference_bit_for_bit(monkeypatch):
                 assert grad.tobytes() == ref_grad.tobytes()
 
 
+def test_intrinsic_objective_matches_reference_on_random_blocks():
+    # 3,000 seeded blocks: |E| from 1 to 16, 1 to 4 rows, joints of 2 to 3
+    # outcomes per side, and rows with an empty row sum or all mass on one output
+    rng = np.random.default_rng(2024)
+    shapes = [(2, 2), (3, 2), (2, 3), (3, 3)]
+    for i in range(3000):
+        n_e, k, (n_a, n_b) = 1 + i % 16, 1 + i % 4, shapes[i % 4]
+        p = rng.dirichlet(np.ones(n_a * n_b * n_e)).reshape(n_a, n_b, n_e)
+        thetas = rng.standard_normal((k, n_e, n_e))
+        if i % 7 == 0:
+            thetas[0, n_e // 2] = 0.0
+        if i % 11 == 0:
+            thetas[-1] = 0.0
+            thetas[-1, :, 0] = 1.0
+        thetas = thetas.reshape(k, -1)
+        values, grads = _IntrinsicObjective(p).value_and_grad(thetas)
+        for theta, value, grad in zip(thetas, values, grads):
+            ref_value, ref_grad = reference_value_and_grad(p, theta)
+            assert float.hex(float(value)) == float.hex(ref_value)
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
 # objective evaluations one refined intrinsic_info(pin_joint(family, n_e),
 # seed=n_e) makes: with the INTRINSIC_PINS values they show the L-BFGS-B
-# trajectory is unchanged
+# trajectory is unchanged.  The copy joints skip refinement, and the
+# dirichlet 3 and 16 descents end at their first value on the zero floor
 INTRINSIC_EVALUATIONS = {
-    ("copy", 2): 63, ("copy", 3): 147, ("copy", 5): 269, ("copy", 7): 342,
-    ("copy", 9): 338, ("copy", 16): 336,
-    ("dirichlet", 2): 63, ("dirichlet", 3): 102, ("dirichlet", 5): 358,
-    ("dirichlet", 7): 343, ("dirichlet", 9): 335, ("dirichlet", 16): 139,
+    ("copy", 2): 0, ("copy", 3): 0, ("copy", 5): 0, ("copy", 7): 0,
+    ("copy", 9): 0, ("copy", 16): 0,
+    ("dirichlet", 2): 63, ("dirichlet", 3): 60, ("dirichlet", 5): 358,
+    ("dirichlet", 7): 343, ("dirichlet", 9): 335, ("dirichlet", 16): 113,
+    ("views", 2): 60, ("views", 3): 82, ("views", 5): 201, ("views", 7): 358,
+    ("views", 16): 338,
 }
 
 
@@ -953,18 +1025,18 @@ def test_intrinsic_refinement_evaluation_count_pinned(family, n_e, monkeypatch):
 
 def test_intrinsic_cached_pool_gives_the_cold_bits(monkeypatch):
     # cold, warm, and warm again after another seed's pool joined the cache
-    p = pin_joint("copy", 16)
+    p = pin_joint("views", 16)
     measures._map_pool.cache_clear()
     values = [intrinsic_info(p, seed=16), intrinsic_info(p, seed=16)]
     intrinsic_info(p, seed=17)
     values.append(intrinsic_info(p, seed=16))
-    assert [float.hex(v) for v in values] == [INTRINSIC_PINS["copy", 16, True]] * 3
+    assert [float.hex(v) for v in values] == [INTRINSIC_PINS["views", 16, True]] * 3
     assert measures._map_pool.cache_info()[:2] == (2, 2)  # hits, misses
-    # this pin equals the unrefined value, so the refined points are compared too
+    # the refined points are compared too
     measures._map_pool.cache_clear()
     cold = refined_thetas(p, 16, monkeypatch)
     warm = refined_thetas(p, 16, monkeypatch)
-    assert len(cold) == INTRINSIC_EVALUATIONS["copy", 16]
+    assert len(cold) == INTRINSIC_EVALUATIONS["views", 16]
     assert np.array(cold).tobytes() == np.array(warm).tobytes()
 
 
@@ -996,14 +1068,29 @@ def test_intrinsic_exact_zero_skips_refinement(monkeypatch):
     assert intrinsic_info(p, seed=0) == 0.0
 
 
+def test_intrinsic_one_symbol_skips_refinement(monkeypatch):
+    # one Eve symbol, or several with one conditional: the only map gives
+    # I(A:B), which is the floor
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("refinement ran on one Eve symbol")
+
+    monkeypatch.setattr(measures, "minimize", no_optimizer)
+    rng = np.random.default_rng(83)
+    for n_e in (1, 1, 5):
+        p_ab = rng.dirichlet(np.ones(4)).reshape(2, 2)
+        p = p_ab[:, :, None] * rng.dirichlet(np.ones(n_e))
+        assert intrinsic_info(p) == intrinsic_info(p, refine=False)
+        assert abs(intrinsic_info(p) - mutual_info(p_ab)) < 1e-15
+
+
 # --- the L-BFGS-B driver ----------------------------------------------------
 
 def recorded_descents(monkeypatch, call) -> list[tuple]:
-    """(fun, block of starts, maxiter) of every descent ``call()`` starts, in order."""
+    """(fun, block of starts, maxiter, stop) of every descent ``call()`` starts, in order."""
     driver, descents = measures.minimize, []
 
     def recording(fun, x0, **kwargs):
-        descents.append((fun, np.array(x0), kwargs["maxiter"]))
+        descents.append((fun, np.array(x0), kwargs["maxiter"], kwargs.get("stop", -math.inf)))
         return driver(fun, x0, **kwargs)
 
     with monkeypatch.context() as m:
@@ -1012,14 +1099,16 @@ def recorded_descents(monkeypatch, call) -> list[tuple]:
     return descents
 
 
-def assert_scipy_descent(fun, x0, maxiter) -> tuple:
+def assert_scipy_descent(fun, x0, maxiter, stop=-math.inf) -> tuple:
     """Each run of measures.minimize from the rows of x0 is scipy's public
     L-BFGS-B run from its row, bit for bit; returns the runs.
 
     The runs still going are asked in lockstep: the j-th call of ``fun``
     holds, in start order, every run with more than j evaluations.  A run's
     ``least`` is the least value of its evaluations, and the totals are the
-    sums over the runs.
+    sums over the runs.  When a value reaches ``stop``, that round is the
+    last, and each run is a prefix of scipy's: the points it evaluated, in
+    order, are the first ones scipy's run evaluates.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -1031,7 +1120,9 @@ def assert_scipy_descent(fun, x0, maxiter) -> tuple:
         block_values.append(np.array(values))
         return values, grads
 
-    res = measures.minimize(traced, x0, method="L-BFGS-B", maxiter=maxiter)
+    res = measures.minimize(traced, x0, method="L-BFGS-B", maxiter=maxiter, stop=stop)
+    stopped = [bool((values <= stop).any()) for values in block_values]
+    assert not any(stopped[:-1])  # no round after the first value at or below stop
     nfevs = [run.nfev for run in res.runs]
     assert len(res.runs) == len(x0)
     assert [len(block) for block in blocks] == [sum(n > j for n in nfevs)
@@ -1050,26 +1141,62 @@ def assert_scipy_descent(fun, x0, maxiter) -> tuple:
 
         ref = scipy_minimize(single, start, jac=True, method="L-BFGS-B",
                              options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
+        assert float.hex(run.least) == float.hex(min(float(block_values[j][r]) for j, r in rows))
+        if stopped[-1]:
+            assert ours == theirs[:len(ours)]  # the first points scipy evaluates, in order
+            assert run.nit <= ref.nit
+            assert float.hex(run.fun) == float.hex(float(block_values[rows[-1][0]][rows[-1][1]]))
+            continue
         assert ours == theirs  # every evaluated point, in order
         assert run.x.tobytes() == ref.x.tobytes()
         assert float.hex(run.fun) == float.hex(float(ref.fun))
         assert (run.nfev, run.nit) == (ref.nfev, ref.nit)
-        assert float.hex(run.least) == float.hex(min(float(block_values[j][r]) for j, r in rows))
     return res.runs
 
 
-@pytest.mark.parametrize("family", ["copy", "dirichlet"])
+@pytest.mark.parametrize("family", ["views", "dirichlet"])
 @pytest.mark.parametrize("n_e", [2, 5, 16])
 def test_minimize_is_scipy_lbfgsb_on_intrinsic_refinement(family, n_e, monkeypatch):
     p = pin_joint(family, n_e)
     descents = recorded_descents(monkeypatch, lambda: intrinsic_info(p, seed=n_e))
     assert len(descents) == 1  # every restart in one lockstep block
-    assert len(descents[0][1]) == measures._INTRINSIC_RESTARTS
-    runs = assert_scipy_descent(*descents[0])
-    if (family, n_e) == ("copy", 16):  # runs stopped by the iteration cap are covered
+    fun, x0, maxiter, _ = descents[0]
+    assert len(x0) == measures._INTRINSIC_RESTARTS
+    runs = assert_scipy_descent(fun, x0, maxiter)  # the whole runs, past any stop
+    if (family, n_e) == ("views", 16):  # runs stopped by the iteration cap are covered
         assert measures.INTRINSIC_REFINE_ITERS in [run.nit for run in runs]
-    if (family, n_e) == ("copy", 2):  # and runs that stop in different rounds
+    if (family, n_e) == ("views", 2):  # and runs that stop in different rounds
         assert len({run.nfev for run in runs}) == measures._INTRINSIC_RESTARTS
+
+
+@pytest.mark.parametrize("n_e", [3, 16])
+def test_intrinsic_descent_stops_at_the_floor_on_a_prefix_of_scipys_runs(n_e, monkeypatch):
+    # the dirichlet 3 and 16 pins refine to 0: their descent ends in the round
+    # of its first value at or below the zero floor, with the value refinement
+    # gave when it ran on
+    p = pin_joint("dirichlet", n_e)
+    descents = recorded_descents(monkeypatch, lambda: intrinsic_info(p, seed=n_e))
+    ((fun, x0, maxiter, stop),) = descents
+    assert stop == measures._key_rate_floor(measures._reduce_alphabet(p)) == 0.0
+    runs = assert_scipy_descent(fun, x0, maxiter, stop)
+    assert min(run.least for run in runs) <= stop
+    full = measures.minimize(fun, x0, method="L-BFGS-B", maxiter=maxiter)
+    assert sum(run.nfev for run in runs) < full.nfev
+    assert intrinsic_info(p, seed=n_e) == max(full.least, 0.0) == 0.0
+
+
+def test_minimize_names_the_scipy_version_when_setulb_refuses_its_arguments(monkeypatch):
+    import scipy
+
+    def setulb(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave, maxls):
+        """A routine that no longer takes ln_task: each call is a TypeError."""
+
+    monkeypatch.setattr(measures, "_lbfgsb_routine", lambda: types.SimpleNamespace(setulb=setulb))
+    with pytest.raises(diqkd_bounds.NumericalFailureError) as info:
+        measures.minimize(quadratic, np.zeros((1, 3)), method="L-BFGS-B", maxiter=5)
+    assert str(info.value) == (f"scipy {scipy.__version__}'s private L-BFGS-B routine "
+                               "_lbfgsb.setulb refused the arguments of the form it has had "
+                               "since scipy 1.15")
 
 
 @pytest.mark.parametrize("rho", [make_isotropic(0.1),
@@ -1077,7 +1204,8 @@ def test_minimize_is_scipy_lbfgsb_on_intrinsic_refinement(family, n_e, monkeypat
                          ids=["isotropic", "qubit-qutrit"])
 def test_minimize_is_scipy_lbfgsb_on_er_descents(rho, monkeypatch):
     descents = recorded_descents(monkeypatch, lambda: er_numeric(rho, restarts=2))
-    assert [len(x0) for _, x0, _ in descents] == [1, 1]  # one descent per restart
+    # one descent per restart, never stopped early
+    assert [(len(x0), stop) for _, x0, _, stop in descents] == [(1, -math.inf)] * 2
     for descent in descents:
         assert_scipy_descent(*descent)
 

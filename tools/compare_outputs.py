@@ -42,8 +42,10 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
 The inputs come from ``bench/workloads.py`` of this tree and from
 `mixed_behavior`, so both trees see the same ones.  Temporary paths are
 normalized before the comparison.  Exit 0 when every item (1,565 of them)
-is identical; otherwise the first differing items are printed and the exit
-code is 1.  A comparison takes about 25 seconds on two cores.
+is identical; otherwise the first differing items are printed, each
+`float.hex` pair also as its old value, its new value and new - old, then
+the largest rise over every differing `float.hex` item, and the exit code
+is 1.  A comparison takes about 25 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -313,10 +315,25 @@ def main(argv: list[str]) -> int:
             return 2
     before, after = (json.loads(outputs[name]) for name in ("ref", "tree"))
     differing = [key for key in {**before, **after} if before.get(key) != after.get(key)]
+    rises = {key: rise for key in differing
+             if (rise := hex_rise(before.get(key), after.get(key))) is not None}
     for key in differing[:SHOWN_DIFFERENCES]:
         print(f"{key}:\n  {ref}: {before.get(key)!r:.300}\n  tree: {after.get(key)!r:.300}")
+        if key in rises:
+            print(f"  old {float.fromhex(before[key])!r}, new {float.fromhex(after[key])!r}, "
+                  f"new - old {rises[key]:+.3e}")
+    if rises:
+        key = max(rises, key=rises.get)
+        print(f"largest rise of a float.hex item: {rises[key]:+.3e} at {key}")
     print(f"{len(before)} items at {ref}, {len(after)} in this tree, {len(differing)} differ")
     return 1 if differing else 0
+
+
+def hex_rise(old, new) -> float | None:
+    """new - old when both items are `float.hex` strings, else None."""
+    if not all(isinstance(v, str) and v.lstrip("-").startswith("0x") for v in (old, new)):
+        return None
+    return float.fromhex(new) - float.fromhex(old)
 
 
 if __name__ == "__main__":
