@@ -132,32 +132,30 @@ def al_bound(nu: float) -> float:
 
 
 @functools.cache
-def _fbjl_anchor(nu: float) -> LocalDecomposition:
-    """Fixed-residual decomposition of the honest device, solved by LP.
-
-    Called at the anchors only: nu* (every round local, q_L = 1) and 1 (the
-    uniform behavior).  The residual is the Tsirelson behavior, nu = 0.
-    """
-    return max_local_weight_with_residual(behavior_from(*honest_chsh_device(nu)),
+def _fbjl_frontier() -> LocalDecomposition:
+    """Fixed-residual decomposition of the honest device at nu*, by LP: every
+    round local (q_L = 1), the residual the Tsirelson behavior (nu = 0)."""
+    return max_local_weight_with_residual(behavior_from(*honest_chsh_device(NU_STAR)),
                                           behavior_from(*honest_chsh_device(0.0)))
 
 
 def _fbjl_decomposition(nu: float) -> LocalDecomposition:
-    """Fixed-residual decomposition of the honest device at nu, from the anchors.
+    """Fixed-residual decomposition of the honest device at nu, from the frontier.
 
     The honest behavior is affine in nu, so no LP runs here.  With
     t = nu / nu*, up to nu* the vertex weights are t w* and the Tsirelson
-    residual carries 1 - t; beyond nu* they are s w* + (1 - s) w1 with
-    s = (1 - nu) / (1 - nu*), and the residual carries nothing.
+    residual carries 1 - t.  Beyond nu* they are s w* + (1 - s) / 32 with
+    s = (1 - nu) / (1 - nu*): the uniform behavior at nu = 1 is the equal
+    mixture of all 32 vertices, and the residual carries nothing.
     """
-    frontier = _fbjl_anchor(NU_STAR)
+    frontier = _fbjl_frontier()
     if nu <= NU_STAR:
         t = nu / NU_STAR
         return replace(frontier, local_weight=t, vertex_weights=t * frontier.vertex_weights,
                        residual_used=t < 1.0)
     s = (1.0 - nu) / (1.0 - NU_STAR)
-    return replace(frontier, vertex_weights=(s * frontier.vertex_weights
-                                             + (1.0 - s) * _fbjl_anchor(1.0).vertex_weights))
+    w = frontier.vertex_weights
+    return replace(frontier, vertex_weights=s * w + (1.0 - s) / w.size)
 
 
 def _fbjl_joint(nu: float) -> np.ndarray:

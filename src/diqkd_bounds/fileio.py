@@ -92,7 +92,8 @@ def behavior_from_dict(doc: dict) -> Behavior:
     except TypeError as exc:
         raise ValueError(f"malformed behavior document: {exc}") from exc
     if table.shape != expected:
-        raise ValueError(f"p has shape {table.shape}, fields say {expected}")
+        raise ValueError(f"malformed behavior document: p has shape {table.shape}, "
+                         f"fields say {expected}")
     return Behavior(table)
 
 
@@ -116,7 +117,8 @@ def state_from_dict(doc: dict) -> DensityMatrix:
         dims = _factor_dims(_integer(d) for d in dims)
         total = int(np.prod(dims))
         if len(entries) != total * total:
-            raise ValueError(f"expected {total * total} entries, got {len(entries)}")
+            raise ValueError(f"malformed state document: expected {total * total} entries, "
+                             f"got {len(entries)}")
         for pair in entries:  # Python's own unpacking error would name no document
             if hasattr(pair, "__len__") and len(pair) != 2:
                 raise TypeError(f"expected an entry [re, im], got {_shown(pair)}")

@@ -233,6 +233,18 @@ def er_bell_diagonal_closed(lambda_max: float) -> float:
     return 1.0 - binary_entropy(min(lambda_max, 1.0))
 
 
+def _checked_int(name: str, n, least: int) -> int:
+    """``operator.index(n)``: TypeError when ``n`` is not an integer, ValueError
+    when it is below ``least`` (0 or 1)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(n).__name__}") from None
+    if n < least:
+        raise ValueError(f"{name} must be {('non-negative', 'positive')[least]}, not {n}")
+    return n
+
+
 def _distribution(p: np.ndarray, indices: str) -> np.ndarray:
     """``p`` checked to be a probability table indexed ``indices``, then clipped at 0."""
     t = np.asarray(p, dtype=float)
@@ -244,8 +256,7 @@ def _distribution(p: np.ndarray, indices: str) -> np.ndarray:
 def mutual_info(p: np.ndarray) -> float:
     """I(A:B) of a joint distribution table p[a][b], in bits."""
     t = _distribution(p, "ab")
-    h = lambda x: -float(_plogp(x).sum())
-    return max(h(t.sum(axis=1)) + h(t.sum(axis=0)) - h(t), 0.0)
+    return max(_entropy(t.sum(axis=1)) + _entropy(t.sum(axis=0)) - _entropy(t), 0.0)
 
 
 def cmi_ccq(c: CcqState) -> float:
@@ -283,6 +294,11 @@ def _plogp(t: np.ndarray) -> np.ndarray:
     return t * np.log2(np.maximum(t, 1e-300))
 
 
+def _entropy(t: np.ndarray) -> float:
+    """Shannon entropy of the distribution in the cells of ``t``, in bits."""
+    return -float(_plogp(t).sum())
+
+
 def _key_rate_floor(p: np.ndarray) -> float:
     """max(0, I(A:B) - I(A:E), I(A:B) - I(B:E)) of a joint p[a][b][e], in bits.
 
@@ -291,11 +307,11 @@ def _key_rate_floor(p: np.ndarray) -> float:
     intrinsic information bounds every secret-key rate from above (Maurer
     and Wolf, IEEE Trans. Inf. Theory 45, 499, 1999).
     """
-    h = lambda t: -float(_plogp(t).sum())
     p_ae, p_be = p.sum(axis=1), p.sum(axis=0)
-    h_a, h_b, h_e = h(p_ae.sum(axis=1)), h(p_be.sum(axis=1)), h(p_ae.sum(axis=0))
+    h_a, h_b, h_e = map(_entropy, (p_ae.sum(axis=1), p_be.sum(axis=1), p_ae.sum(axis=0)))
     # I(A:B) - I(A:E) = H(B) + H(AE) - H(AB) - H(E), and likewise with A and B swapped
-    return max(0.0, max(h_b + h(p_ae), h_a + h(p_be)) - h(p.sum(axis=2)) - h_e)
+    return max(0.0, max(h_b + _entropy(p_ae), h_a + _entropy(p_be))
+               - _entropy(p.sum(axis=2)) - h_e)
 
 
 def _reduce_alphabet(p: np.ndarray) -> np.ndarray:
@@ -618,12 +634,7 @@ def intrinsic_info(p_abe: np.ndarray, *, seed: int = 0, refine: bool = True) -> 
     that is not an integer raises TypeError, and a negative one ValueError,
     on every joint.
     """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, not {seed}")
+    seed = _checked_int("seed", seed, 0)
     p = _reduce_alphabet(_distribution(p_abe, "abe"))
     n_e = p.shape[2]
     masks, subsets, jitter = _map_pool(n_e, seed, DET_CHANNEL_CAP)
@@ -757,6 +768,9 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
         Number of independent seeded starts.
     seed : int
         Base RNG seed.
+
+    An argument that is not an integer raises TypeError; ``k`` or
+    ``restarts`` below 1, or a negative ``seed``, raises ValueError.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError("er_numeric expects a bipartite state")
@@ -764,8 +778,8 @@ def er_numeric(rho: DensityMatrix, k: int | None = None, restarts: int = 8,
         raise DimensionMismatchError(f"total dimension {rho.dim} exceeds 12")
     if k is None:
         k = 16 if rho.dim == 4 else 24
-    if k < 1 or restarts < 1:
-        raise ValueError(f"ensemble size {k} and restarts {restarts} must be positive")
+    k, restarts = _checked_int("k", k, 1), _checked_int("restarts", restarts, 1)
+    seed = _checked_int("seed", seed, 0)
     obj = _ErObjective(rho, k)
     # one descent per restart, each a block of one start
     least = min(minimize(obj.value_and_grad,

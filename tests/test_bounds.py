@@ -316,13 +316,14 @@ def test_fbjl_curve_solves_lp_only_at_anchors(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(polytope, "simplex_solve", counting_solve)
-    bounds._fbjl_anchor.cache_clear()
+    bounds._fbjl_frontier.cache_clear()
     bound_curve("fbjl", grid=64)
     bound_curve("fbjl", grid=64, lo=0.0, hi=1.0)
     assert len(calls) == 0  # the closed form solves no LP
-    bounds._fbjl_joint(0.1)  # the witness: one LP, at the nu* anchor
+    bounds._fbjl_joint(0.1)  # the witness: one LP, at the frontier nu*
     assert len(calls) == 1
-    bounds._fbjl_joint(0.2)
+    for nu in (0.2, 0.6, 1.0):  # beyond nu* the uniform vertex mixture needs none
+        bounds._fbjl_joint(nu)
     assert len(calls) == 1
 
 
@@ -618,6 +619,25 @@ def test_channel_curve_samples():
     assert abs(curve.values[0] - 1.0) < 1e-12
     assert curve.values[1] == 0.0
     assert curve.values[2] == 0.0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: channel_di_bound("dephasing", 1.5), r"p=1.5 outside \[0, 1\]"),
+    (lambda: channel_di_bound("amplitude", 0.1), "unknown channel kind 'amplitude'"),
+    (lambda: dephasing_simulation("dephasing", 0.1),
+     "simulation target must be depolarizing or erasure, got 'dephasing'"),
+    (lambda: dephasing_simulation("depolarizing", -0.1), r"p=-0.1 outside \[0, 1\]"),
+    (lambda: bound_curve("xyz"), r"unknown curve 'xyz'; pick one of \('al', 'fbjl', "),
+    (lambda: bound_curve("al", axis="omega", lo=3.0),
+     r"omega range \[3.0, 2.8284271247461903\] invalid"),
+    (lambda: bound_curve("al", axis="p"), "axis must be 'nu' or 'omega', got 'p'"),
+    (lambda: channel_curve("dephasing", grid=1), "grid must be at least 2"),
+    (lambda: channel_curve("erasure", p_min=0.7, p_max=0.3), r"p range \[0.7, 0.3\] invalid"),
+], ids=["channel-p", "channel-kind", "simulation-kind", "simulation-p", "curve-name",
+        "curve-omega-range", "curve-axis", "channel-grid", "channel-p-range"])
+def test_bounds_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 # --- dephasing simulation ---------------------------------------------------------

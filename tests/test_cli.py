@@ -383,6 +383,45 @@ def test_malformed_document_is_one_malformed_line(tmp_path, capsys, command, tex
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+STRUCTURAL_REFUSALS = {
+    "behavior-missing-p": ("localweight", load_behavior,
+                           {"x_count": 1, "y_count": 1, "a_count": 2, "b_count": 2},
+                           "behavior document is missing field 'p'"),
+    "state-missing-entries": ("er", load_state, {"dims": [2, 2]},
+                              "state document is missing field 'entries'"),
+    "p-shape": ("localweight", load_behavior,
+                {"x_count": 1, "y_count": 1, "a_count": 2, "b_count": 3,
+                 "p": [[[[0.5, 0.0], [0.0, 0.5]]]]},
+                "malformed behavior document: p has shape (1, 1, 2, 2), fields say (1, 1, 2, 3)"),
+    "entry-count": ("er", load_state, {"dims": [2, 2], "entries": [[1.0, 0.0]]},
+                    "malformed state document: expected 16 entries, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURAL_REFUSALS))
+def test_document_of_the_wrong_structure_is_refused(tmp_path, capsys, case):
+    command, load, doc, message = STRUCTURAL_REFUSALS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as refused:
+        load(path)
+    assert str(refused.value) == message
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("simulate", "--kind", "depolarizing", "--p", "1.5"), "p=1.5 outside [0, 1]"),
+    (("curve", "channel", "--kind", "dephasing", "--grid", "1"), "grid must be at least 2"),
+    (("curve", "channel", "--kind", "erasure", "--p-min", "0.7", "--p-max", "0.3"),
+     "p range [0.7, 0.3] invalid"),
+    (("curve", "al", "--axis", "omega", "--min", "3"),
+     "omega range [3.0, 2.8284271247461903] invalid"),
+], ids=["simulate-p", "channel-grid", "channel-p-range", "omega-range"])
+def test_argument_outside_its_domain_is_one_line_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command,text,head", [
     ("localweight", BEHAVIOR_HEAD + "[" * 900 + "0.5" + "]" * 900 + "}",
      "malformed behavior document: expected a number, got "),

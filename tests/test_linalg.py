@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from diqkd_bounds import (
     NotHermitianError,
     partial_trace,
 )
-from diqkd_bounds.linalg import PSD_TOL, psd_spectrum
+from diqkd_bounds.linalg import PSD_TOL, as_matrix, psd_spectrum
 from diqkd_bounds.states import KET_PHI_PLUS, projector
 
 I2 = np.eye(2)
@@ -138,3 +140,22 @@ def test_partial_trace_middle_factor_matches_manual_sum():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         partial_trace(np.eye(4), [2, 3], keep=[0])
+
+
+@pytest.mark.parametrize("keep", [[2], [-1], [0, 5]])
+def test_partial_trace_refuses_a_factor_out_of_range(keep):
+    shown = sorted(set(keep))
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"^keep={re.escape(str(shown))} out of range for 2 factors$"):
+        partial_trace(np.eye(4) / 4, [2, 2], keep=keep)
+
+
+@pytest.mark.parametrize("a,error,message", [
+    (np.ones(3), DimensionMismatchError, "expected a matrix, got ndim=1"),
+    (np.ones((2, 2, 2)), DimensionMismatchError, "expected a matrix, got ndim=3"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError, "matrix contains NaN or Inf entries"),
+    (np.array([[1.0, 0.0], [1j * np.inf, 1.0]]), ValueError, "matrix contains NaN or Inf entries"),
+], ids=["vector", "stack", "nan", "imaginary-inf"])
+def test_as_matrix_refuses_what_is_no_finite_matrix(a, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        as_matrix(a)

@@ -146,7 +146,7 @@ def test_er_numeric_rejects_large_dimensions():
     from diqkd_bounds import DimensionMismatchError
     rng = np.random.default_rng(5)
     big = random_density(rng, (4, 4))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="^total dimension 16 exceeds 12$"):
         er_numeric(big)
 
 
@@ -1366,10 +1366,28 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
 
 def test_er_numeric_rejects_empty_search():
     rho = make_isotropic(0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^restarts must be positive, not 0$"):
         er_numeric(rho, restarts=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be positive, not 0$"):
         er_numeric(rho, k=0)
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    ({"seed": "3"}, TypeError, "seed must be an integer, not str"),
+    ({"seed": 3.0}, TypeError, "seed must be an integer, not float"),
+    ({"seed": -1}, ValueError, "seed must be non-negative, not -1"),
+    ({"k": 1.5}, TypeError, "k must be an integer, not float"),
+    ({"restarts": 2.0}, TypeError, "restarts must be an integer, not float"),
+], ids=["str-seed", "float-seed", "negative-seed", "float-k", "float-restarts"])
+def test_er_numeric_checks_its_integer_arguments(kwargs, error, message):
+    # as intrinsic_info checks its seed: numpy would read "3" as seed 3
+    with pytest.raises(error, match=f"^{message}$"):
+        er_numeric(make_isotropic(0.2), **kwargs)
+
+
+def test_er_numeric_takes_a_numpy_integer_seed():
+    rho = make_isotropic(0.2)
+    assert er_numeric(rho, restarts=1, seed=np.int64(3)) == er_numeric(rho, restarts=1, seed=3)
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"

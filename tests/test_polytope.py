@@ -99,6 +99,12 @@ def test_vertex_cap():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2, 2), (2, 2, 0, 2), (2, 2, 2, -1)])
+def test_vertices_refuse_a_count_below_one(shape):
+    with pytest.raises(ValueError, match="^all cardinalities must be at least 1$"):
+        enumerate_vertices(*shape)
+
+
 def test_simplex_single_variable():
     x = simplex_solve(c=np.array([1.0]), a_ub=[[1.0]], b_ub=[3.0])
     assert abs(np.array([1.0]) @ x - 3.0) < 1e-10
@@ -210,6 +216,11 @@ def test_simplex_mixed_rows_match_highs():
 def test_simplex_rejects_malformed_lp(lp, error):
     with pytest.raises(error):
         simplex_solve(**lp)
+
+
+def test_simplex_refuses_an_lp_without_constraints():
+    with pytest.raises(ValueError, match="^LP has no constraints$"):
+        simplex_solve(np.ones(2))
 
 
 def test_max_local_weight_deterministic_is_one():

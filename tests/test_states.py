@@ -42,6 +42,26 @@ def test_states_reject_nonpositive_dims(dims):
         PureState(np.full(4, 0.5), dims)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: DensityMatrix(np.eye(3) / 3, (2, 2)), DimensionMismatchError,
+     r"matrix is \(3, 3\), dims \(2, 2\) imply 4"),
+    (lambda: DensityMatrix(np.eye(4) / 2, (2, 2)), ValueError,
+     r"trace 2\+0j differs from 1 beyond 1e-09"),
+    (lambda: PureState(np.full(3, 3 ** -0.5), (2, 2)), DimensionMismatchError,
+     r"vector of length 3, dims \(2, 2\)"),
+    (lambda: PureState(np.ones(4), (2, 2)), ValueError,
+     "state vector is not normalized within 1e-10"),
+    (lambda: QubitChannel("amplitude", 0.1), ValueError, "unknown channel kind 'amplitude'"),
+    (lambda: QubitChannel("erasure", 1.5), ValueError, r"noise 1.5 outside \[0, 1\]"),
+    (lambda: relative_entropy(make_isotropic(0.1), DensityMatrix(np.eye(2) / 2, (2,))),
+     DimensionMismatchError, "dims 4 vs 2"),
+], ids=["density-shape", "density-trace", "pure-length", "pure-norm", "channel-kind",
+        "channel-noise", "relative-entropy-dims"])
+def test_states_refuse_inconsistent_data(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_isotropic_half_eigenvalues():
     w = np.sort(np.linalg.eigvalsh(make_isotropic(0.5).matrix))[::-1]
     assert np.allclose(w, [0.625, 0.125, 0.125, 0.125])

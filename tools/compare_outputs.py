@@ -19,6 +19,8 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
   `separable_chsh2_strategy` at 11 values of q in [0, 1/2], and the
   `float.hex` of every float of `dephasing_simulation` at 21 values of p
   in [0, 1 - 1/sqrt(2)] for each kind;
+- fbjl's witness: the `float.hex` of every cell of `bounds._fbjl_joint`
+  at 41 values of nu in [0, 1];
 - the ccq layer value by value: on the honest device at 11 values of nu in
   [0, 1], with Eve's purifier unmapped, measured (`povm_map`) or through a
   channel (`kraus_map`), the `float.hex` of `cmi_ccq` of `assemble_ccq` at
@@ -41,7 +43,7 @@ and for this working tree, a fresh interpreter with one BLAS thread dumps:
 
 The inputs come from ``bench/workloads.py`` of this tree and from
 `mixed_behavior`, so both trees see the same ones.  Temporary paths are
-normalized before the comparison.  Exit 0 when every item (1,565 of them)
+normalized before the comparison.  Exit 0 when every item (2,369 of them)
 is identical; otherwise the first differing items are printed, each
 `float.hex` pair also as its old value, its new value and new - old, then
 the largest rise over every differing `float.hex` item, and the exit code
@@ -158,6 +160,16 @@ def device_items(diqkd_bounds) -> dict[str, str]:
     return items
 
 
+def witness_items(diqkd_bounds) -> dict[str, str]:
+    """Every cell of fbjl's witness joint p(a, b, e) at 41 values of nu in [0, 1]."""
+    items = {}
+    for nu in map(float, np.linspace(0, 1, 41)):
+        p = diqkd_bounds.bounds._fbjl_joint(nu)
+        for cell in np.ndindex(p.shape):
+            items[f"fbjl joint {nu!r} {cell}"] = float.hex(float(p[cell]))
+    return items
+
+
 def eve_maps(diqkd_bounds, nu: float) -> dict:
     """No map, a measurement and a seeded channel on the purifier of the honest device."""
     d = 1 if nu == 0.0 else 4  # rank of the isotropic state
@@ -250,6 +262,7 @@ def dump(tree: Path) -> dict[str, str]:
             outcome = type(exc).__name__
         items["intrinsic 17 distinct conditionals"] = outcome
         items.update(device_items(diqkd_bounds))
+        items.update(witness_items(diqkd_bounds))
         items.update(ccq_items(diqkd_bounds))
         env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
 
